@@ -10,6 +10,7 @@ and equivalence classes correspond one to one.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .combinatorics import multinomial, stirling_r_assoc
@@ -83,25 +84,53 @@ def tuple_of_profile(profile: ModelProfile, d: int) -> AdmissibleTuple:
     )
 
 
-def enumerate_admissible(n: int, d: int, vocab: Vocabulary) -> list[AdmissibleTuple]:
-    """All (n, d)-admissible tuples in lexicographic entry order."""
+def _admissible_entries(
+    n: int, d: int, t: int, non_increasing: bool
+) -> list[tuple[int, ...]]:
+    """Entry tuples of all (n, d)-admissible length-t tuples in lexicographic
+    order; with ``non_increasing``, only those whose entries never rise."""
     if d < 1:
         raise ValueError("counting depth must be at least 1")
-    t = vocab.t
-    out: list[AdmissibleTuple] = []
+    out: list[tuple[int, ...]] = []
 
-    def rec(prefix: list[int], total: int, capped: bool):
-        if len(prefix) == t:
-            if capped or total == n:
-                out.append(AdmissibleTuple(tuple(prefix), n, d))
+    def rec(prefix: list[int], total: int, capped: bool, hi: int):
+        top = min(hi, n - total)
+        if len(prefix) == t - 1:
+            if capped:
+                out.extend((*prefix, e) for e in range(top + 1))
+            elif min(d, n - total) <= top:
+                # admissible means some entry reaches the cap d or the sum
+                # reaches n; with no capped entry yet, the last one must
+                out.append((*prefix, min(d, n - total)))
             return
-        for e in range(0, min(d, n - total) + 1):
+        for e in range(top + 1):
             prefix.append(e)
-            rec(prefix, total + e, capped or e == d)
+            rec(prefix, total + e, capped or e == d, e if non_increasing else d)
             prefix.pop()
 
-    rec([], 0, False)
+    rec([], 0, False, d)
     return out
+
+
+def enumerate_admissible(n: int, d: int, vocab: Vocabulary) -> list[AdmissibleTuple]:
+    """All (n, d)-admissible tuples in lexicographic entry order."""
+    return [AdmissibleTuple(e, n, d) for e in _admissible_entries(n, d, vocab.t, False)]
+
+
+def enumerate_orbits(
+    n: int, d: int, vocab: Vocabulary
+) -> list[tuple[AdmissibleTuple, int]]:
+    """One representative per permutation orbit of the admissible tuples.
+
+    Permuting a tuple's entries keeps it admissible and keeps its class
+    size, so reductions over all classes can run over orbits.  Each
+    representative has non-increasing entries and comes with its number
+    of distinct permutations, t! / prod(multiplicity of each value)!.
+    """
+    return [
+        (AdmissibleTuple(e, n, d), multinomial(vocab.t, list(Counter(e).values())))
+        for e in _admissible_entries(n, d, vocab.t, True)
+    ]
 
 
 def class_size(tup: AdmissibleTuple) -> int:

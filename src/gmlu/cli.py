@@ -66,6 +66,39 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _domain_size(text: str) -> int:
+    """argparse type of ``--n``: an integer of at least 1 (models are nonempty).
+
+    Raising SystemExit gets through argparse, so a bad value gets the same
+    one-line ``error:`` message as the other usage errors.
+    """
+    try:
+        n = int(text)
+    except ValueError:
+        raise SystemExit(_usage_error(f"bad --n {text!r}; expected an integer"))
+    if n < 1:
+        raise SystemExit(_usage_error(
+            f"--n must be at least 1 (models are nonempty), got {n}"
+        ))
+    return n
+
+
+def _domain_size_list(text: str) -> list[int]:
+    """argparse type of ``--n-values``: comma-separated domain sizes, each >= 1."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise SystemExit(_usage_error(
+            f"bad --n-values {text!r}; expected like 16,36,64"
+        ))
+    bad = [n for n in values if n < 1]
+    if bad:
+        raise SystemExit(_usage_error(
+            f"--n-values must be at least 1 (models are nonempty), got {bad[0]}"
+        ))
+    return values
+
+
 class _Report:
     """One report: header scalars plus an optional row table.
 
@@ -330,9 +363,8 @@ def _cmd_phase(args, vocab, caps) -> _Report:
         )
     if args.action == "sweep":
         rule = distribution.make_depth_rule(args.rule, args.a, vocab)
-        n_values = [int(x) for x in args.n_values.split(",")]
         rows = []
-        for row in distribution.dominating_class_sweep(rule, vocab, n_values):
+        for row in distribution.dominating_class_sweep(rule, vocab, args.n_values):
             rows.append(
                 {
                     "n": row.n,
@@ -375,8 +407,8 @@ def _cmd_verify(args, vocab, caps) -> _Report:
         for n in range(1, args.max_n + 1):
             for d in range(1, n + 1):
                 total = sum(
-                    classes.class_size(t)
-                    for t in classes.enumerate_admissible(n, d, vocab)
+                    w * classes.class_size(rep)
+                    for rep, w in classes.enumerate_orbits(n, d, vocab)
                 )
                 match = total == vocab.t**n
                 ok = ok and match
@@ -480,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, need_n=True, need_d=True):
         p.add_argument("--tau", required=True, help="comma-separated symbols")
         if need_n:
-            p.add_argument("--n", type=int, required=True, help="domain size")
+            p.add_argument("--n", type=_domain_size, required=True, help="domain size")
         if need_d:
             p.add_argument("--d", type=int, required=True, help="counting depth")
 
@@ -531,11 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase", help="majority/dominance analysis of the distribution")
     p.add_argument("action", choices=("constants", "majority", "sweep", "separation"))
     p.add_argument("--tau", required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_domain_size)
     p.add_argument("--d", type=int)
     p.add_argument("--rule", choices=("below-sqrt", "below-quarter", "above-sqrt"))
     p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--n-values", help="comma-separated domain sizes for sweep")
+    p.add_argument("--n-values", type=_domain_size_list,
+                   help="comma-separated domain sizes for sweep")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact", action="store_true",
@@ -545,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-run the verified identities")
     p.add_argument("check", choices=("counting", "stirling", "monotone", "game-theorem"))
     p.add_argument("--tau", default="p")
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=_domain_size, default=6)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--max-n", type=int, default=12)
     p.add_argument("--max-m", type=int, default=4)
@@ -568,6 +601,10 @@ def _validate(args, parser):
         for field in needs[args.action]:
             if getattr(args, field) is None:
                 parser.error(f"phase {args.action} requires --{field.replace('_', '-')}")
+    if args.command == "verify" and args.check == "counting" and args.max_n < 1:
+        raise SystemExit(_usage_error(
+            f"--max-n must be at least 1 (models are nonempty), got {args.max_n}"
+        ))
 
 
 def main(argv=None) -> int:

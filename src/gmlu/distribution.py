@@ -1,9 +1,15 @@
 """Class-size distributions, their entropies, and phase-transition reports.
 
-The probability of a class is its exact size over t^n, kept as a
-rational so threshold comparisons (majority, dominance) never hinge on
-rounding.  Entropies are the only floating-point quantities: base-2
-logs of exact integers and rationals.
+The probability of a class is its exact size over t^n.  Class size
+depends only on the multiset of the tuple's entries, so every reduction
+over all classes (entropies, the largest class, majority, collision
+probability) runs over permutation orbits, each weighted by its number
+of distinct permutations, with sizes kept as exact integers over the one
+denominator t^n: threshold comparisons (majority, dominance) never hinge
+on rounding, and Fractions are built only for report fields.  Entropies
+are the only floating-point quantities: base-2 logs of exact integers,
+summed with math.fsum, whose correctly rounded result does not depend on
+the order or grouping of the terms.
 """
 
 from __future__ import annotations
@@ -15,7 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .classes import AdmissibleTuple, class_size, enumerate_admissible
+from .classes import (
+    AdmissibleTuple,
+    class_size,
+    enumerate_admissible,
+    enumerate_orbits,
+)
 from .complexity import exact_complexity, lower_bound, upper_bound
 from .config import DEFAULT_CAPS, SearchCaps
 from .models import ModelProfile
@@ -61,20 +72,51 @@ def build_distribution(n: int, d: int, vocab: Vocabulary) -> ClassDistribution:
     return ClassDistribution(n, d, vocab, tuple(entries))
 
 
-def _log2_fraction(p: Fraction) -> float:
-    return math.log2(p.numerator) - math.log2(p.denominator)
+def _orbit_table(
+    n: int, d: int, vocab: Vocabulary
+) -> list[tuple[AdmissibleTuple, int, int]]:
+    """(representative, multiplicity, class size) for every permutation
+    orbit of (n, d)-admissible tuples; see classes.enumerate_orbits."""
+    table = [(rep, w, class_size(rep)) for rep, w in enumerate_orbits(n, d, vocab)]
+    total = sum(w * size for _, w, size in table)
+    if total != vocab.t**n:
+        raise AssertionError(
+            f"class sizes sum to {total}, expected {vocab.t**n}; counting bug"
+        )
+    return table
+
+
+def _entropies(
+    weighted_sizes: Iterable[tuple[int, int]], denom: int
+) -> tuple[float, float]:
+    """Shannon and Boltzmann entropies of classes given as (multiplicity,
+    size) pairs over the model count ``denom``.
+
+    Each term depends only on its pair, and fsum is correctly rounded, so
+    the same multiset of pairs gives the same floats in any order.
+    """
+    log_denom = math.log2(denom)
+    shannon, boltzmann = [], []
+    for w, size in weighted_sizes:
+        p = w * size / denom
+        log_size = math.log2(size)
+        shannon.append(p * (log_denom - log_size))
+        boltzmann.append(p * log_size)
+    return math.fsum(shannon), math.fsum(boltzmann)
+
+
+def _class_entropies(dist: ClassDistribution) -> tuple[float, float]:
+    return _entropies(((1, e.size) for e in dist.entries), dist.vocab.t**dist.n)
 
 
 def boltzmann_entropy(dist: ClassDistribution) -> float:
     """Expected log2 class size over the distribution."""
-    return sum(float(e.probability) * math.log2(e.size) for e in dist.entries)
+    return _class_entropies(dist)[1]
 
 
 def shannon_entropy(dist: ClassDistribution) -> float:
     """Expected -log2 class probability over the distribution."""
-    return -sum(
-        float(e.probability) * _log2_fraction(e.probability) for e in dist.entries
-    )
+    return _class_entropies(dist)[0]
 
 
 @dataclass(frozen=True)
@@ -98,11 +140,12 @@ def entropy_vs_depth(n: int, vocab: Vocabulary) -> list[DepthEntropyRow]:
     """
     rows = []
     for d in range(1, n + 1):
-        dist = build_distribution(n, d, vocab)
+        table = _orbit_table(n, d, vocab)
+        shannon, boltzmann = _entropies(
+            ((w, size) for _, w, size in table), vocab.t**n
+        )
         rows.append(
-            DepthEntropyRow(
-                d, len(dist.entries), shannon_entropy(dist), boltzmann_entropy(dist)
-            )
+            DepthEntropyRow(d, sum(w for _, w, _ in table), shannon, boltzmann)
         )
     return rows
 
@@ -140,6 +183,28 @@ class MajorityReport:
     regime: str | None
 
 
+def _candidate_and_max(
+    n: int, d: int, vocab: Vocabulary
+) -> tuple[AdmissibleTuple | None, int, AdmissibleTuple, int]:
+    """The all-capped tuple (d, ..., d), or None when it is not
+    admissible, and the largest class's tuple, each with its class size.
+
+    Among equally large classes the lexicographically first tuple wins,
+    as in ClassDistribution.max_entry: the smallest tuple of an orbit is
+    its representative sorted ascending.
+    """
+    all_capped = (d,) * vocab.t
+    candidate, candidate_size = None, 0
+    max_entries, max_size = None, 0
+    for rep, _, size in _orbit_table(n, d, vocab):
+        if rep.entries == all_capped:
+            candidate, candidate_size = rep, size
+        first = tuple(sorted(rep.entries))
+        if size > max_size or (size == max_size and first < max_entries):
+            max_entries, max_size = first, size
+    return candidate, candidate_size, AdmissibleTuple(max_entries, n, d), max_size
+
+
 def majority_report(n: int, d: int, vocab: Vocabulary) -> MajorityReport:
     """Exact majority check, annotated with the threshold regime.
 
@@ -147,17 +212,9 @@ def majority_report(n: int, d: int, vocab: Vocabulary) -> MajorityReport:
     the true maximum class is reported either way, and majority means
     exact probability above one half.
     """
-    dist = build_distribution(n, d, vocab)
+    candidate, candidate_size, max_tuple, max_size = _candidate_and_max(n, d, vocab)
     t = vocab.t
-    candidate_entries = tuple([d] * t)
-    candidate = None
-    candidate_probability = Fraction(0)
-    for e in dist.entries:
-        if e.tup.entries == candidate_entries:
-            candidate = e.tup
-            candidate_probability = e.probability
-            break
-    best = dist.max_entry()
+    denom = t**n
     consts = phase_constants(vocab)
     if d <= n / t - consts.c1 * math.sqrt(n):
         regime = "majority (d <= n/t - c1*sqrt(n))"
@@ -169,10 +226,10 @@ def majority_report(n: int, d: int, vocab: Vocabulary) -> MajorityReport:
         n,
         d,
         candidate,
-        candidate_probability,
-        best.tup,
-        best.probability,
-        best.probability > Fraction(1, 2),
+        Fraction(candidate_size, denom),
+        max_tuple,
+        Fraction(max_size, denom),
+        2 * max_size > denom,
         regime,
     )
 
@@ -219,9 +276,8 @@ def estimate_separation_probability(
 def exact_separation_probability(n: int, d: int, vocab: Vocabulary) -> Fraction:
     """Exact probability that two independent uniform models differ as
     classes: one minus the collision probability."""
-    dist = build_distribution(n, d, vocab)
-    collision = sum((e.probability**2 for e in dist.entries), Fraction(0))
-    return 1 - collision
+    collisions = sum(w * size**2 for _, w, size in _orbit_table(n, d, vocab))
+    return 1 - Fraction(collisions, vocab.t ** (2 * n))
 
 
 @dataclass(frozen=True)
@@ -242,20 +298,21 @@ def dominating_class_sweep(
     the table exhibits; no limit claim is asserted.
     """
     rows = []
-    t = vocab.t
     for n in n_values:
         d = d_rule(n)
         if d < 1:
             raise ValueError(f"depth rule gave d={d} at n={n}")
-        dist = build_distribution(n, d, vocab)
-        candidate_entries = tuple([d] * t)
-        candidate_probability = Fraction(0)
-        for e in dist.entries:
-            if e.tup.entries == candidate_entries:
-                candidate_probability = e.probability
-                break
-        best = dist.max_entry()
-        rows.append(SweepRow(n, d, candidate_probability, best.tup, best.probability))
+        _, candidate_size, max_tuple, max_size = _candidate_and_max(n, d, vocab)
+        denom = vocab.t**n
+        rows.append(
+            SweepRow(
+                n,
+                d,
+                Fraction(candidate_size, denom),
+                max_tuple,
+                Fraction(max_size, denom),
+            )
+        )
     return rows
 
 

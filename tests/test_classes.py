@@ -7,6 +7,7 @@ from gmlu.classes import (
     check_one_more_element,
     class_size,
     enumerate_admissible,
+    enumerate_orbits,
     tuple_of_profile,
 )
 from gmlu.models import ModelProfile
@@ -16,6 +17,18 @@ from oracles import brute_class_counts
 
 V1 = Vocabulary(("p",))
 V2 = Vocabulary(("p", "q"))
+V3 = Vocabulary(("p", "q", "r"))
+
+
+def distinct_permutations(entries):
+    if not entries:
+        yield ()
+        return
+    for v in sorted(set(entries)):
+        rest = list(entries)
+        rest.remove(v)
+        for tail in distinct_permutations(rest):
+            yield (v,) + tail
 
 
 def test_tuple_of_profile_caps_counts():
@@ -47,6 +60,23 @@ def test_enumerate_is_unique_and_lexicographic():
     tuples = [t.entries for t in enumerate_admissible(6, 2, V2)]
     assert len(set(tuples)) == len(tuples)
     assert tuples == sorted(tuples)
+
+
+def test_orbits_expand_to_the_admissible_tuples():
+    for vocab in (V1, V2, V3):
+        for n in range(1, 9):
+            for d in range(1, n + 2):
+                tuples = [t.entries for t in enumerate_admissible(n, d, vocab)]
+                orbits = enumerate_orbits(n, d, vocab)
+                expanded = []
+                for rep, multiplicity in orbits:
+                    assert (rep.n, rep.d) == (n, d)
+                    assert list(rep.entries) == sorted(rep.entries, reverse=True)
+                    perms = list(distinct_permutations(rep.entries))
+                    assert multiplicity == len(perms), (rep, multiplicity)
+                    expanded.extend(perms)
+                assert sorted(expanded) == tuples, (vocab.symbols, n, d)
+                assert sum(w for _, w in orbits) == len(tuples)
 
 
 def test_class_size_examples():

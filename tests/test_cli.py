@@ -211,3 +211,30 @@ def test_env_cap_override(capsys, monkeypatch):
         ["complexity", "--tau", "p", "--n", "3", "--d", "1", "--exact"]
     )
     assert code == 1  # the override lowered the cap below n=3
+
+
+@pytest.mark.parametrize("argv", [
+    ["tuples", "--tau", "p", "--n", "-1", "--d", "1"],
+    ["entropy", "--tau", "p", "--n", "0", "--d", "1"],
+    ["class-size", "--tau", "p,q", "--n", "0", "--d", "1"],
+    ["entropy-sweep", "--tau", "p", "--n", "0"],
+    ["phase", "majority", "--tau", "p", "--n", "0", "--d", "1"],
+    ["phase", "sweep", "--tau", "p", "--rule", "below-sqrt", "--n-values", "16,0"],
+    ["verify", "counting", "--tau", "p", "--max-n", "0"],
+])
+def test_domain_size_below_one_exit_code_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_bad_n_values_exit_code_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["phase", "sweep", "--tau", "p", "--rule", "below-sqrt",
+              "--n-values", "16,x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--n-values" in err and err.count("\n") == 1

@@ -95,6 +95,16 @@ def test_entropy_vs_depth_n8():
     boltzmanns = [row.boltzmann for row in rows]
     assert boltzmanns[0] > boltzmanns[1] > boltzmanns[2] > boltzmanns[3]
     assert boltzmanns[3] == boltzmanns[7]
+    # from d >= n/2 on the classes coincide, so both entropies are
+    # exactly constant, not merely up to summation order
+    for vocab in (V1, V2):
+        for n in (8, 9, 12):
+            rows = entropy_vs_depth(n, vocab)
+            pivot = rows[math.ceil(n / 2) - 1]
+            for row in rows[math.ceil(n / 2):]:
+                assert (row.shannon, row.boltzmann) == (
+                    pivot.shannon, pivot.boltzmann
+                ), (vocab.symbols, n, row.d)
 
 
 def test_boltzmann_over_isomorphism_classes_is_expected_log_multinomial():
@@ -170,6 +180,42 @@ def test_majority_four_types():
     rep2 = majority_report(8, 2, V2)
     assert rep2.max_tuple.entries == (1, 2, 2, 2)
     assert not rep2.has_majority
+
+
+# -- orbit reductions against the per-tuple distribution -------------------------
+
+
+def test_orbit_reductions_match_per_tuple_reference():
+    grids = [(V1, n, d) for n in range(1, 15) for d in range(1, n + 2)]
+    grids += [(V2, n, d) for n in range(1, 9) for d in range(1, n + 2)]
+    ties = 0
+    for vocab, n, d in grids:
+        dist = build_distribution(n, d, vocab)
+        best = dist.max_entry()
+        ties += sum(e.size == best.size for e in dist.entries) > 1
+        candidate = next(
+            (e for e in dist.entries if e.tup.entries == (d,) * vocab.t), None
+        )
+        candidate_probability = candidate.probability if candidate else 0
+        rep = majority_report(n, d, vocab)
+        assert rep.max_tuple == best.tup, (vocab.symbols, n, d)
+        assert rep.max_probability == best.probability
+        assert rep.candidate == (candidate.tup if candidate else None)
+        assert rep.candidate_probability == candidate_probability
+        assert rep.has_majority == (best.probability > Fraction(1, 2))
+        (row,) = dominating_class_sweep(lambda _: d, vocab, [n])
+        assert (row.max_tuple, row.max_probability) == (best.tup, best.probability)
+        assert row.candidate_probability == candidate_probability
+        assert exact_separation_probability(n, d, vocab) == 1 - sum(
+            e.probability**2 for e in dist.entries
+        )
+    assert ties > 0
+    for vocab, n in [(V1, 14), (V2, 8)]:
+        for row in entropy_vs_depth(n, vocab):
+            dist = build_distribution(n, row.d, vocab)
+            assert row.class_count == len(dist.entries)
+            assert abs(row.shannon - shannon_entropy(dist)) < 1e-12
+            assert abs(row.boltzmann - boltzmann_entropy(dist)) < 1e-12
 
 
 # -- sampling ---------------------------------------------------------------------
