@@ -54,11 +54,16 @@ def _parse_pointed(text: str, vocab: Vocabulary) -> PointedProfile:
         counts_text, point_text = text.split("@")
         counts = tuple(int(x) for x in counts_text.split(","))
         point = int(point_text)
-        return PointedProfile(ModelProfile(counts), point)
+        pm = PointedProfile(ModelProfile(counts), point)
     except (ValueError, IndexError) as exc:
         raise SystemExit(
             _usage_error(f"bad pointed model {text!r} ({exc}); expected like 2,0@0")
         )
+    if len(counts) != vocab.t:
+        raise SystemExit(_usage_error(
+            f"pointed model {text!r} has {len(counts)} counts, need {vocab.t}"
+        ))
+    return pm
 
 
 def _usage_error(message: str) -> int:
@@ -601,6 +606,11 @@ def _validate(args, parser):
         for field in needs[args.action]:
             if getattr(args, field) is None:
                 parser.error(f"phase {args.action} requires --{field.replace('_', '-')}")
+    max_size = getattr(args, "max_size", None)
+    if max_size is not None and max_size < 1:
+        raise SystemExit(_usage_error(
+            f"--max-size must be at least 1 (no formula is smaller), got {max_size}"
+        ))
     if args.command == "verify" and args.check == "counting" and args.max_n < 1:
         raise SystemExit(_usage_error(
             f"--max-n must be at least 1 (models are nonempty), got {args.max_n}"
@@ -611,8 +621,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(args, parser)
-    caps = caps_from_env()
-    vocab = Vocabulary.from_csv(args.tau) if getattr(args, "tau", None) else None
+    try:
+        caps = caps_from_env()
+    except ValueError as exc:
+        raise SystemExit(_usage_error(str(exc)))
+    try:
+        vocab = Vocabulary.from_csv(args.tau)
+    except ValueError as exc:
+        raise SystemExit(_usage_error(f"bad --tau {args.tau!r}: {exc}"))
     try:
         report = args.func(args, vocab, caps)
     except (ScaleCapError, FormulaError, ValueError) as exc:

@@ -318,7 +318,16 @@ def apply_move(pos: GamePosition, move: GameMove, vocab: Vocabulary) -> MoveOutc
 
 
 class _Solver:
-    """Memoized exact solver over bitmask-encoded positions.
+    """Exact solver for the least winning budget over bitmask positions.
+
+    S wins with budget r exactly when r >= v(A, B, modal_made), the least
+    budget at which S wins, so the solver computes that one integer per
+    position: a split costs v1 + v2 + 1, a threshold move of grade k
+    costs k plus its successor's value, an exact move of grade k costs
+    k + 1 plus it.  ``least(cap, ...)`` returns v when v <= cap.  Its
+    memo keeps one entry per position, either the exact v or a proven
+    lower bound "v > cap" left by a search that found nothing within
+    cap; a later query with a larger cap searches again.
 
     Pointed profiles of one domain size are indexed once; sides become
     int bitmasks.  Counting moves are enumerated by folding per-model
@@ -345,9 +354,13 @@ class _Solver:
         self._bit: dict[tuple[tuple[int, ...], int], int] = {}
         for i, pm in enumerate(self.pms):
             self._bit[(pm.profile.counts, pm.point_type)] = 1 << i
+        self._counts = [pm.profile.counts for pm in self.pms]
+        # a successor is packed as its left mask | its right mask << width
+        self._width = len(self.pms)
+        self._left_mask = (1 << self._width) - 1
         self._sel_cache: dict = {}
         self._pair_cache: dict = {}
-        self.memo: dict = {}
+        self.memo: dict[int, int] = {}
 
     def encode(self, models) -> int:
         mask = 0
@@ -361,12 +374,17 @@ class _Solver:
             mask |= self._bit[(counts, i)]
         return mask
 
-    def _sel_masks(self, counts: tuple[int, ...], m: int) -> tuple[int, ...]:
-        """Distinct contribution masks of m-point selections from a model."""
-        key = (counts, m)
+    def _sel_masks(
+        self, counts: tuple[int, ...], m: int, shift: int = 0
+    ) -> tuple[int, ...]:
+        """Distinct contribution masks of m-point selections from a model,
+        shifted onto the right side's bits when ``shift`` is the width."""
+        key = (counts, m, shift)
         if key not in self._sel_cache:
-            if m < 0 or m > sum(counts):
-                masks: tuple[int, ...] = ()
+            if shift:
+                masks = tuple(x << shift for x in self._sel_masks(counts, m))
+            elif m < 0 or m > sum(counts):
+                masks = ()
             elif m == 0:
                 masks = (0,)
             else:
@@ -380,10 +398,13 @@ class _Solver:
             self._sel_cache[key] = masks
         return self._sel_cache[key]
 
-    def _sel_pairs(self, counts: tuple[int, ...], k: int):
-        """Distinct (picked-mask, complement-mask) pairs of exact k-point picks."""
-        key = (counts, k)
+    def _sel_pairs(self, counts: tuple[int, ...], k: int, swapped: bool):
+        """Distinct exact k-point picks from a model of the picking side,
+        each packed as its picked points on that side and the rest on the
+        other (the right side when not ``swapped``)."""
+        key = (counts, k, swapped)
         if key not in self._pair_cache:
+            p_shift, n_shift = (self._width, 0) if swapped else (0, self._width)
             pairs = set()
             for vec in _subvectors(counts, k):
                 pmask = self._support_mask(
@@ -392,7 +413,7 @@ class _Solver:
                 nmask = self._support_mask(
                     counts, (i for i, (c, v) in enumerate(zip(counts, vec)) if c > v)
                 )
-                pairs.add((pmask, nmask))
+                pairs.add(pmask << p_shift | nmask << n_shift)
             self._pair_cache[key] = tuple(sorted(pairs))
         return self._pair_cache[key]
 
@@ -403,110 +424,139 @@ class _Solver:
             yield low.bit_length() - 1
             mask ^= low
 
-    def _fold(self, option_lists) -> set[tuple[int, int]]:
-        acc = {(0, 0)}
+    @staticmethod
+    def _fold(option_lists) -> set[int]:
+        """Every union of one option per list: the distinct successors."""
+        acc = {0}
         for opts in option_lists:
             if not opts:
                 return set()
-            acc = {(a | x, b | y) for (a, b) in acc for (x, y) in opts}
+            acc = {a | x for a in acc for x in opts}
         return acc
 
     def _threshold_successors(self, A: int, B: int, left_size: int, right_size: int):
-        opts = []
-        for i in self._bits(A):
-            c = self.pms[i].profile.counts
-            opts.append([(m, 0) for m in self._sel_masks(c, left_size)])
-        for i in self._bits(B):
-            c = self.pms[i].profile.counts
-            opts.append([(0, m) for m in self._sel_masks(c, right_size)])
+        opts = [self._sel_masks(self._counts[i], left_size) for i in self._bits(A)]
+        opts += [
+            self._sel_masks(self._counts[i], right_size, self._width)
+            for i in self._bits(B)
+        ]
         return self._fold(opts)
 
     def _exact_successors(self, A: int, B: int, k: int, swapped: bool):
         """Exact-count successors; ``swapped`` runs the dual move."""
         n = self.n
-        opts = []
         pick_side, choice_side = (B, A) if swapped else (A, B)
-        for i in self._bits(pick_side):
-            c = self.pms[i].profile.counts
-            pairs = self._sel_pairs(c, k)
-            if swapped:
-                opts.append([(nm, pm) for (pm, nm) in pairs])
-            else:
-                opts.append(list(pairs))
+        p_shift, n_shift = (self._width, 0) if swapped else (0, self._width)
+        opts = [
+            self._sel_pairs(self._counts[i], k, swapped) for i in self._bits(pick_side)
+        ]
         for i in self._bits(choice_side):
-            c = self.pms[i].profile.counts
-            here = [(m, 0) for m in self._sel_masks(c, k + 1)]
-            here += [(0, m) for m in self._sel_masks(c, n - k + 1)]
-            if swapped:
-                here = [(b, a) for (a, b) in here]
-            opts.append(here)
+            c = self._counts[i]
+            opts.append(
+                self._sel_masks(c, k + 1, p_shift)
+                + self._sel_masks(c, n - k + 1, n_shift)
+            )
         return self._fold(opts)
 
-    def win(self, r: int, A: int, B: int, modal_made: bool) -> bool:
-        if A == 0 and B == 0:
-            # with any budget left S makes a free grade-0 move, then a literal
-            return r >= 1
-        if r == 0:
-            return False
-        key = (r, A, B, modal_made)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        result = False
+    def _counting_successors(self, A: int, B: int, cost: int):
+        """Successors of the counting moves that cost ``cost``.
+
+        A threshold move of grade k costs k and an exact move of grade k
+        costs k + 1; the successor then needs its own least budget on
+        top.  The successor sets are built one move kind at a time, so a
+        win in an early one saves building the rest.
+        """
+        n = self.n
+        yield from self._threshold_successors(A, B, cost, n - cost + 1)
+        yield from self._threshold_successors(A, B, n - cost + 1, cost)
+        yield from self._exact_successors(A, B, cost - 1, False)
+        yield from self._exact_successors(A, B, cost - 1, True)
+
+    @staticmethod
+    def _split_successors(A: int, B: int):
+        """Both positions of every or-split of A and every and-split of B.
+
+        Each unordered partition into two nonempty blocks appears once.
+        """
+        for split_left, side in ((True, A), (False, B)):
+            low = side & -side
+            rest = side ^ low
+            sub = rest
+            while sub:
+                sub = (sub - 1) & rest
+                part1, part2 = low | sub, rest ^ sub
+                if split_left:
+                    yield (part1, B), (part2, B)
+                else:
+                    yield (A, part1), (A, part2)
+
+    def least(self, cap: int, A: int, B: int, modal_made: bool) -> int | None:
+        """The least budget v at which S wins from (A, B), or None if v > cap.
+
+        Branch and bound over the moves: whenever a move wins at total
+        cost ``best``, the moves after it only have to win within
+        best - 1, and a move whose own cost leaves no budget for its
+        successor (every successor needs at least 1) is never tried.
+        """
+        if cap < 1:
+            return None
+        if not A or not B:
+            # a constant formula separates: a free grade-0 move, then a literal
+            return 1
         if modal_made:
             for lm in self.lit_masks:
                 if not (A & ~lm) and not (B & lm):
-                    result = True
+                    return 1
+        if cap == 1:
+            return None  # only a literal or an empty side wins with budget 1
+        # Memo entries: v when v is known, else -lb for a proven v > lb;
+        # without an entry, v > 1 is known from the checks above.
+        key = (A | B << self._width) << 1 | modal_made
+        known = self.memo.get(key, -1)
+        if known > 0:
+            return known if known <= cap else None
+        if cap <= -known:
+            return None
+        floor = 1 - known  # no move can win below this
+        best = None
+        limit = cap  # the most a move may cost in total to beat ``best``
+        # With both sides nonempty, grade-0 threshold moves have no
+        # successor and no counting move costs more than n + 1.
+        for cost in range(1, min(self.d, self.n + 1) + 1):
+            if cost >= limit:
+                break
+            for succ in self._counting_successors(A, B, cost):
+                A2, B2 = succ & self._left_mask, succ >> self._width
+                v = self.least(limit - cost, A2, B2, True)
+                if v is None:
+                    continue
+                best = cost + v
+                limit = best - 1
+                if best == floor:
+                    self.memo[key] = best
+                    return best
+                if cost >= limit:
                     break
-        n = self.n
-        if not result:
-            for k in range(0, min(self.d, r - 1) + 1):
-                for A2, B2 in self._threshold_successors(A, B, k, n - k + 1):
-                    if self.win(r - k, A2, B2, True):
-                        result = True
-                        break
-                if result:
-                    break
-                for A2, B2 in self._threshold_successors(A, B, n - k + 1, k):
-                    if self.win(r - k, A2, B2, True):
-                        result = True
-                        break
-                if result:
-                    break
-        if not result:
-            for k in range(0, min(self.d - 1, r - 1) + 1):
-                for swapped in (False, True):
-                    for A2, B2 in self._exact_successors(A, B, k, swapped):
-                        if self.win(r - k - 1, A2, B2, True):
-                            result = True
-                            break
-                    if result:
-                        break
-                if result:
-                    break
-        if not result and r >= 3:
-            result = self._split_wins(r, A, B, modal_made)
-        self.memo[key] = result
-        return result
+        for (A1, B1), (A2, B2) in self._split_successors(A, B):
+            if limit < 3:
+                break
+            v1 = self.least(limit - 2, A1, B1, modal_made)
+            if v1 is None:
+                continue
+            v2 = self.least(limit - 1 - v1, A2, B2, modal_made)
+            if v2 is None:
+                continue
+            best = v1 + v2 + 1
+            limit = best - 1
+            if best == floor:
+                self.memo[key] = best
+                return best
+        self.memo[key] = -cap if best is None else best
+        return best
 
-    def _split_wins(self, r: int, A: int, B: int, modal_made: bool) -> bool:
-        for r1 in range(1, r - 1):
-            r2 = r - 1 - r1
-            sub = (A - 1) & A
-            while sub:
-                if self.win(r1, sub, B, modal_made) and self.win(
-                    r2, A ^ sub, B, modal_made
-                ):
-                    return True
-                sub = (sub - 1) & A
-            sub = (B - 1) & B
-            while sub:
-                if self.win(r1, A, sub, modal_made) and self.win(
-                    r2, A, B ^ sub, modal_made
-                ):
-                    return True
-                sub = (sub - 1) & B
-        return False
+    def win(self, r: int, A: int, B: int, modal_made: bool) -> bool:
+        """Whether S wins with budget r."""
+        return self.least(r, A, B, modal_made) is not None
 
 
 _solvers: dict = {}

@@ -238,3 +238,52 @@ def test_bad_n_values_exit_code_2(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--n-values" in err and err.count("\n") == 1
+
+
+def _assert_usage_error(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tuples", "--tau", "p,p", "--n", "3", "--d", "1"],
+    ["game", "solve", "--tau", "p,p", "--d", "1", "--r", "2",
+     "--left", "2,0@0", "--right", "1,1@0"],
+    ["phase", "constants", "--tau", "p,q,p"],
+    ["verify", "counting", "--tau", "p,p", "--max-n", "2"],
+    ["tuples", "--tau=", "--n", "3", "--d", "1"],
+    ["tuples", "--tau", "1p", "--n", "3", "--d", "1"],
+])
+def test_bad_tau_exit_code_2(capsys, argv):
+    assert "bad --tau" in _assert_usage_error(capsys, argv)
+
+
+def test_pointed_counts_of_wrong_length_exit_code_2(capsys):
+    err = _assert_usage_error(capsys, [
+        "game", "solve", "--tau", "p", "--d", "2", "--r", "3",
+        "--left", "1,0,0,0@0",
+    ])
+    assert "has 4 counts, need 2" in err
+
+
+@pytest.mark.parametrize("size", ["-5", "0"])
+def test_max_size_below_one_exit_code_2(capsys, size):
+    err = _assert_usage_error(capsys, [
+        "complexity", "--tau", "p", "--n", "3", "--d", "1", "--exact",
+        "--max-size", size,
+    ])
+    assert "--max-size" in err
+
+
+def test_non_integer_cap_override_exit_code_2(capsys, monkeypatch):
+    monkeypatch.setenv("GMLU_GAME_MAX_N", "x")
+    err = _assert_usage_error(capsys, [
+        "game", "solve", "--tau", "p", "--d", "1", "--r", "2",
+        "--left", "2,0@0", "--right", "1,1@0",
+    ])
+    assert "GMLU_GAME_MAX_N='x' is not an integer" in err

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from gmlu.complexity import minimal_separating_size
 from gmlu.config import ScaleCapError
 from gmlu.game import (
     D_WINS,
@@ -8,6 +11,7 @@ from gmlu.game import (
     OrSplitMove,
     PropMove,
     S_WINS,
+    _Solver,
     apply_move,
     check_game_formula_equivalence,
     legal_moves,
@@ -325,3 +329,65 @@ def test_solver_matches_slow_reference():
             for r in range(0, 5):
                 pos = GamePosition(r, frozenset(a), frozenset(b))
                 assert (solve(pos, 2, V1) == S_WINS) == slow(pos, 2, memo), (a, b, r)
+
+
+def _criterion_5_grid():
+    """(n, d, sides) of the game/formula grid: n <= 3, d in {1, 2}, and
+    every side of at most two pointed models, the empty side included."""
+    for n in (1, 2, 3):
+        pms = pointed_profiles(n, V1)
+        sides = [frozenset()]
+        for k in (1, 2):
+            sides.extend(frozenset(c) for c in combinations(pms, k))
+        for d in (1, 2):
+            yield n, d, sides
+
+
+def test_least_budget_equals_minimal_separating_size():
+    """The game value of each position is the size of the smallest
+    separating formula, or None exactly when none has size <= 6."""
+    checked = 0
+    for n, d, sides in _criterion_5_grid():
+        solver = _Solver(V1, n, d)
+        for left in sides:
+            for right in sides:
+                found = minimal_separating_size(
+                    V1, d, n,
+                    [pm.profile for pm in left], [pm.profile for pm in right], 6,
+                )
+                value = solver.least(
+                    6, solver.encode(left), solver.encode(right), False
+                )
+                assert value == (found[0] if found else None), (n, d, left, right)
+                checked += 1
+    assert checked == 2 * (4**2 + 11**2 + 22**2)
+
+
+def test_least_budget_does_not_depend_on_query_order():
+    """Two fresh solvers asked every (position, r) for r = 0..7, one in
+    ascending and one in descending budget order, answer alike; a lower
+    bound stored too high or too low would make them differ."""
+    budgets = range(0, 8)
+    for n, d, sides in _criterion_5_grid():
+        positions = [
+            (left, right, modal)
+            for left in sides for right in sides for modal in (False, True)
+        ]
+        answers = []
+        for order in (budgets, reversed(budgets)):
+            solver = _Solver(V1, n, d)
+            got = {}
+            for r in order:
+                for left, right, modal in positions:
+                    got[r, left, right, modal] = solver.least(
+                        r, solver.encode(left), solver.encode(right), modal
+                    )
+            answers.append(got)
+        assert answers[0] == answers[1], (n, d)
+        for left, right, modal in positions:
+            value = answers[0][7, left, right, modal]
+            for r in budgets:
+                expected = value if value is not None and value <= r else None
+                assert answers[0][r, left, right, modal] == expected, (
+                    n, d, left, right, modal, r,
+                )
