@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -71,37 +72,27 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _domain_size(text: str) -> int:
-    """argparse type of ``--n``: an integer of at least 1 (models are nonempty).
+def _at_least(low: int, flag: str, many: bool = False):
+    """argparse type of an integer option whose value is at least ``low``;
+    with ``many``, of a comma-separated list of such values.
 
     Raising SystemExit gets through argparse, so a bad value gets the same
     one-line ``error:`` message as the other usage errors.
     """
-    try:
-        n = int(text)
-    except ValueError:
-        raise SystemExit(_usage_error(f"bad --n {text!r}; expected an integer"))
-    if n < 1:
-        raise SystemExit(_usage_error(
-            f"--n must be at least 1 (models are nonempty), got {n}"
-        ))
-    return n
+    def parse(text: str):
+        try:
+            values = [int(x) for x in text.split(",")] if many else [int(text)]
+        except ValueError:
+            expected = "like 16,36,64" if many else "an integer"
+            raise SystemExit(_usage_error(f"bad {flag} {text!r}; expected {expected}"))
+        for value in values:
+            if value < low:
+                raise SystemExit(_usage_error(
+                    f"{flag} must be at least {low}, got {value}"
+                ))
+        return values if many else values[0]
 
-
-def _domain_size_list(text: str) -> list[int]:
-    """argparse type of ``--n-values``: comma-separated domain sizes, each >= 1."""
-    try:
-        values = [int(x) for x in text.split(",")]
-    except ValueError:
-        raise SystemExit(_usage_error(
-            f"bad --n-values {text!r}; expected like 16,36,64"
-        ))
-    bad = [n for n in values if n < 1]
-    if bad:
-        raise SystemExit(_usage_error(
-            f"--n-values must be at least 1 (models are nonempty), got {bad[0]}"
-        ))
-    return values
+    return parse
 
 
 class _Report:
@@ -507,54 +498,51 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default text)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    class _Sub:
-        def add_parser(self, name, **kwargs):
-            return subparsers.add_parser(name, parents=[shared], **kwargs)
-
-    sub = _Sub()
+    add = functools.partial(subparsers.add_parser, parents=[shared])
+    n_type, d_type = _at_least(1, "--n"), _at_least(1, "--d")
 
     def common(p, need_n=True, need_d=True):
         p.add_argument("--tau", required=True, help="comma-separated symbols")
         if need_n:
-            p.add_argument("--n", type=_domain_size, required=True, help="domain size")
+            p.add_argument("--n", type=n_type, required=True, help="domain size")
         if need_d:
-            p.add_argument("--d", type=int, required=True, help="counting depth")
+            p.add_argument("--d", type=d_type, required=True, help="counting depth")
 
-    p = sub.add_parser("tuples", help="enumerate the admissible tuples")
+    p = add("tuples", help="enumerate the admissible tuples")
     common(p)
     p.set_defaults(func=_cmd_tuples)
 
-    p = sub.add_parser("class-size", help="exact class sizes and probabilities")
+    p = add("class-size", help="exact class sizes and probabilities")
     common(p)
     p.add_argument("--tuple", help="restrict to one tuple, like 0,1")
     p.set_defaults(func=_cmd_class_size)
 
-    p = sub.add_parser("entropy", help="Shannon and Boltzmann entropy at one depth")
+    p = add("entropy", help="Shannon and Boltzmann entropy at one depth")
     common(p)
     p.set_defaults(func=_cmd_entropy)
 
-    p = sub.add_parser("entropy-sweep", help="entropies for every depth 1..n")
+    p = add("entropy-sweep", help="entropies for every depth 1..n")
     common(p, need_d=False)
     p.set_defaults(func=_cmd_entropy_sweep)
 
-    p = sub.add_parser("complexity", help="description-complexity bounds")
+    p = add("complexity", help="description-complexity bounds")
     common(p)
     p.add_argument("--tuple", help="restrict to one tuple, like 0,1")
     p.add_argument("--exact", action="store_true", help="run the brute-force search")
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--max-size", type=_at_least(1, "--max-size"), default=None)
     p.set_defaults(func=_cmd_complexity)
 
-    p = sub.add_parser("cover", help="cover graph and minimum cover cost")
+    p = add("cover", help="cover graph and minimum cover cost")
     common(p)
     p.add_argument("--tuple", required=True)
     p.set_defaults(func=_cmd_cover)
 
-    p = sub.add_parser("game", help="solve or trace the formula-size game")
+    p = add("game", help="solve or trace the formula-size game")
     p.add_argument("action", choices=("solve", "trace"))
     p.add_argument("--tau", required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True, help="resource budget")
+    p.add_argument("--d", type=d_type, required=True)
+    p.add_argument("--r", type=_at_least(0, "--r"), required=True,
+                   help="resource budget")
     p.add_argument(
         "--left", action="append",
         help="pointed model the formula must satisfy, like 2,0@0 (repeatable)",
@@ -565,30 +553,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_game)
 
-    p = sub.add_parser("phase", help="majority/dominance analysis of the distribution")
+    p = add("phase", help="majority/dominance analysis of the distribution")
     p.add_argument("action", choices=("constants", "majority", "sweep", "separation"))
     p.add_argument("--tau", required=True)
-    p.add_argument("--n", type=_domain_size)
-    p.add_argument("--d", type=int)
+    p.add_argument("--n", type=n_type)
+    p.add_argument("--d", type=d_type)
     p.add_argument("--rule", choices=("below-sqrt", "below-quarter", "above-sqrt"))
     p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--n-values", type=_domain_size_list,
+    p.add_argument("--n-values", type=_at_least(1, "--n-values", many=True),
                    help="comma-separated domain sizes for sweep")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_at_least(1, "--trials"), default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact", action="store_true",
                    help="also compute the exact separation probability")
     p.set_defaults(func=_cmd_phase)
 
-    p = sub.add_parser("verify", help="re-run the verified identities")
+    p = add("verify", help="re-run the verified identities")
     p.add_argument("check", choices=("counting", "stirling", "monotone", "game-theorem"))
     p.add_argument("--tau", default="p")
-    p.add_argument("--n", type=_domain_size, default=6)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--max-n", type=int, default=12)
-    p.add_argument("--max-m", type=int, default=4)
-    p.add_argument("--max-r", type=int, default=4)
-    p.add_argument("--max-side", type=int, default=1)
+    p.add_argument("--n", type=n_type, default=6)
+    p.add_argument("--d", type=d_type, default=2)
+    p.add_argument("--max-n", type=_at_least(1, "--max-n"), default=12)
+    p.add_argument("--max-m", type=_at_least(1, "--max-m"), default=4)
+    p.add_argument("--max-r", type=_at_least(1, "--max-r"), default=4)
+    p.add_argument("--max-side", type=_at_least(1, "--max-side"), default=1)
     p.add_argument("--mode", choices=("bounds", "exact"), default="bounds")
     p.set_defaults(func=_cmd_verify)
 
@@ -606,15 +594,6 @@ def _validate(args, parser):
         for field in needs[args.action]:
             if getattr(args, field) is None:
                 parser.error(f"phase {args.action} requires --{field.replace('_', '-')}")
-    max_size = getattr(args, "max_size", None)
-    if max_size is not None and max_size < 1:
-        raise SystemExit(_usage_error(
-            f"--max-size must be at least 1 (no formula is smaller), got {max_size}"
-        ))
-    if args.command == "verify" and args.check == "counting" and args.max_n < 1:
-        raise SystemExit(_usage_error(
-            f"--max-n must be at least 1 (models are nonempty), got {args.max_n}"
-        ))
 
 
 def main(argv=None) -> int:

@@ -1,19 +1,14 @@
-"""Exact big-integer combinatorics and the analytic bounds used in reports.
-
-Counting paths (partition numbers, multinomials) are exact integers or
-rationals throughout; only the Chernoff and Robbins estimates return
-floats, since they feed reports rather than theorems.
+"""Exact big-integer combinatorics: r-associated Stirling numbers,
+multinomials and the exact Stirling bounds that ``verify stirling`` checks.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 _stirling_cache: dict[tuple[int, int, int], int] = {}
-_stirling_lock = threading.Lock()
 
 
 def stirling_r_assoc(n: int, m: int, r: int) -> int:
@@ -33,26 +28,25 @@ def stirling_r_assoc(n: int, m: int, r: int) -> int:
             return 0
         r = 1
     key = (n, m, r)
-    with _stirling_lock:
-        if key in _stirling_cache:
-            return _stirling_cache[key]
-        for mm in range(1, m + 1):
-            for nn in range(mm * r, n + 1):
-                cell = (nn, mm, r)
-                if cell in _stirling_cache:
-                    continue
-                if mm == 1:
-                    val = 1
-                else:
-                    prev = _stirling_cache[(nn - 1, mm, r)] if nn - 1 >= mm * r else 0
-                    below = (
-                        _stirling_cache[(nn - r, mm - 1, r)]
-                        if nn - r >= (mm - 1) * r
-                        else 0
-                    )
-                    val = mm * prev + math.comb(nn - 1, r - 1) * below
-                _stirling_cache[cell] = val
+    if key in _stirling_cache:
         return _stirling_cache[key]
+    for mm in range(1, m + 1):
+        for nn in range(mm * r, n + 1):
+            cell = (nn, mm, r)
+            if cell in _stirling_cache:
+                continue
+            if mm == 1:
+                val = 1
+            else:
+                prev = _stirling_cache[(nn - 1, mm, r)] if nn - 1 >= mm * r else 0
+                below = (
+                    _stirling_cache[(nn - r, mm - 1, r)]
+                    if nn - r >= (mm - 1) * r
+                    else 0
+                )
+                val = mm * prev + math.comb(nn - 1, r - 1) * below
+            _stirling_cache[cell] = val
+    return _stirling_cache[key]
 
 
 def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
@@ -71,8 +65,8 @@ def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
 class BoundPair:
     """A two-sided estimate, lower <= upper."""
 
-    lower: Fraction | float
-    upper: Fraction | float
+    lower: Fraction
+    upper: Fraction
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -80,9 +74,6 @@ class BoundPair:
 
     def contains(self, value) -> bool:
         return self.lower <= value <= self.upper
-
-    def contains_strictly(self, value) -> bool:
-        return self.lower < value < self.upper
 
 
 @dataclass(frozen=True)
@@ -120,29 +111,3 @@ def check_growth_bound(n: int, m: int, r: int) -> GrowthBoundCheck:
     )
     return GrowthBoundCheck(value, bound, value <= bound)
 
-
-def chernoff_lower(n: int, p, delta: float) -> float:
-    """Lower-tail bound: Pr[X <= (1-delta)np] <= exp(-delta^2 np / 2)."""
-    _check_chernoff_args(n, p, delta)
-    return math.exp(-(delta**2) * n * float(p) / 2.0)
-
-
-def chernoff_upper(n: int, p, delta: float) -> float:
-    """Upper-tail bound: Pr[X >= (1+delta)np] <= exp(-delta^2 np / (2+delta))."""
-    _check_chernoff_args(n, p, delta)
-    return math.exp(-(delta**2) * n * float(p) / (2.0 + delta))
-
-
-def _check_chernoff_args(n, p, delta):
-    if n < 0 or delta < 0 or not 0 < float(p) <= 1:
-        raise ValueError(f"bad Chernoff arguments {(n, p, delta)}")
-
-
-def robbins_bounds(n: int) -> BoundPair:
-    """Robbins' form of Stirling's approximation; n! lies strictly inside."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    base = math.sqrt(2 * math.pi * n) * (n / math.e) ** n
-    return BoundPair(
-        base * math.exp(1.0 / (12 * n + 1)), base * math.exp(1.0 / (12 * n))
-    )

@@ -10,7 +10,7 @@ and doubles as the separating-formula oracle for the game tests.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -235,13 +235,12 @@ class FormulaSearch:
         self._full = (1 << self.t) - 1
         self._all_profiles_mask = (1 << len(self.profiles)) - 1
         # level s holds the signatures first reached at size s; searches are
-        # shared and extend lazily, so growth is serialized
+        # shared and extend lazily
         self.inner_levels: list[dict] = [{}]
         self.outer_levels: list[dict] = [{}]
         self._inner_seen: set = set()
         self._outer_seen: set = set()
         self.max_built = 0
-        self._lock = threading.Lock()
 
     # -- signature helpers ------------------------------------------------
 
@@ -341,26 +340,19 @@ class FormulaSearch:
         """Smallest (size, formula) whose global signature satisfies the
         predicate, or None when nothing matches up to max_size."""
         for s in range(1, max_size + 1):
-            if s > self.max_built:
-                with self._lock:
-                    while s > self.max_built:
-                        self._build_next()
+            while s > self.max_built:
+                self._build_next()
             for mask, formula in self.outer_levels[s].items():
                 if predicate(mask):
                     return s, formula
         return None
 
 
-_class_searches: dict = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _search_for(vocab: Vocabulary, n: int, d: int):
-    key = (vocab.symbols, n, d)
-    if key not in _class_searches:
-        profiles = list(enumerate_profiles(n, vocab))
-        index = {p.counts: i for i, p in enumerate(profiles)}
-        _class_searches[key] = (FormulaSearch(vocab, d, profiles), profiles, index)
-    return _class_searches[key]
+    profiles = list(enumerate_profiles(n, vocab))
+    index = {p.counts: i for i, p in enumerate(profiles)}
+    return FormulaSearch(vocab, d, profiles), profiles, index
 
 
 def exact_complexity(

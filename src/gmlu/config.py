@@ -18,7 +18,6 @@ class ScaleCapError(ValueError):
 
 @dataclass(frozen=True)
 class SearchCaps:
-    max_grade: int = 1 << 16
     exact_max_symbols: int = 1
     exact_max_n: int = 6
     exact_max_d: int = 3
@@ -32,9 +31,8 @@ class SearchCaps:
 _ENV_PREFIX = "GMLU_"
 
 
-def caps_from_env(base: SearchCaps | None = None) -> SearchCaps:
+def caps_from_env() -> SearchCaps:
     """Caps with ``GMLU_<FIELDNAME>`` environment overrides applied."""
-    base = base or SearchCaps()
     values = {}
     for f in fields(SearchCaps):
         raw = os.environ.get(_ENV_PREFIX + f.name.upper())
@@ -46,8 +44,6 @@ def caps_from_env(base: SearchCaps | None = None) -> SearchCaps:
                     f"environment override {_ENV_PREFIX + f.name.upper()}={raw!r} "
                     "is not an integer"
                 ) from None
-        else:
-            values[f.name] = getattr(base, f.name)
     return SearchCaps(**values)
 
 

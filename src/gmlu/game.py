@@ -18,6 +18,7 @@ embeds into a win at the same budget without them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -559,14 +560,9 @@ class _Solver:
         return self.least(r, A, B, modal_made) is not None
 
 
-_solvers: dict = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _solver_for(vocab: Vocabulary, n: int, d: int) -> _Solver:
-    key = (vocab.symbols, n, d)
-    if key not in _solvers:
-        _solvers[key] = _Solver(vocab, n, d)
-    return _solvers[key]
+    return _Solver(vocab, n, d)
 
 
 def _check_caps(pos: GamePosition, vocab: Vocabulary, caps: SearchCaps):
@@ -594,6 +590,12 @@ def solve(
     if d < 1:
         raise ValueError("counting depth must be at least 1")
     _check_caps(pos, vocab, caps)
+    return _winner(pos, d, vocab)
+
+
+def _winner(pos: GamePosition, d: int, vocab: Vocabulary) -> str:
+    """The winner from ``pos``, with no cap check: a counting move's
+    successor may hold more pointed models than the position it left."""
     if pos.n is None:
         return S_WINS if pos.resource >= 1 else D_WINS
     solver = _solver_for(vocab, pos.n, d)
@@ -647,16 +649,6 @@ def strategy_trace(
     if solve(pos, d, vocab, caps) == D_WINS:
         return {"winner": D_WINS}
 
-    def value(p: GamePosition) -> str:
-        if p.n is None:
-            return S_WINS if p.resource >= 1 else D_WINS
-        solver = _solver_for(vocab, p.n, d)
-        won = solver.win(
-            p.resource, solver.encode(p.left), solver.encode(p.right),
-            p.modal_move_made,
-        )
-        return S_WINS if won else D_WINS
-
     def rec(p: GamePosition) -> dict:
         node = {
             "resource": p.resource,
@@ -670,7 +662,7 @@ def strategy_trace(
                 node["winner"] = S_WINS
                 return node
             if outcome.winner is None and all(
-                value(q) == S_WINS for q in outcome.positions
+                _winner(q, d, vocab) == S_WINS for q in outcome.positions
             ):
                 node["move"] = _move_json(move)
                 node["children"] = [rec(q) for q in outcome.positions]

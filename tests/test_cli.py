@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmlu.cli import main
 
@@ -287,3 +291,112 @@ def test_non_integer_cap_override_exit_code_2(capsys, monkeypatch):
         "--left", "2,0@0", "--right", "1,1@0",
     ])
     assert "GMLU_GAME_MAX_N='x' is not an integer" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["tuples", "--tau", "p", "--n", "3", "--d", "0"], "--d"),
+    (["game", "solve", "--tau", "p", "--d", "0", "--r", "2",
+      "--left", "2,0@0", "--right", "1,1@0"], "--d"),
+    (["phase", "majority", "--tau", "p", "--n", "4", "--d", "0"], "--d"),
+    (["verify", "monotone", "--tau", "p", "--n", "4", "--d", "0"], "--d"),
+    (["cover", "--tau", "p", "--n", "3", "--d", "0", "--tuple", "1,1"], "--d"),
+    (["game", "solve", "--tau", "p", "--d", "1", "--r", "-1",
+      "--left", "2,0@0", "--right", "1,1@0"], "--r"),
+    (["phase", "separation", "--tau", "p", "--n", "4", "--d", "1",
+      "--trials", "0"], "--trials"),
+    (["verify", "game-theorem", "--tau", "p", "--n", "2", "--d", "1",
+      "--max-side", "-1"], "--max-side"),
+    (["verify", "game-theorem", "--tau", "p", "--n", "2", "--d", "1",
+      "--max-r", "0"], "--max-r"),
+    (["verify", "stirling", "--max-m", "0"], "--max-m"),
+    (["verify", "stirling", "--max-r", "0"], "--max-r"),
+])
+def test_option_below_its_bound_exit_code_2(capsys, argv, flag):
+    assert flag in _assert_usage_error(capsys, argv)
+
+
+def test_game_trace_at_zero_budget_is_a_duplicator_win(capsys):
+    payload = run_json(
+        capsys, "game", "trace", "--tau", "p", "--d", "1", "--r", "0",
+        "--left", "2,0@0", "--right", "1,1@0",
+    )
+    assert payload["winner"] == "D"
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```sh")[1].split("```")[0]
+    return [line.split("#")[0].split()[1:] for line in block.strip().splitlines()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands())
+def test_readme_command_runs(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
+# Generated argv: every subcommand with its required options and a random
+# subset of the others, integers drawn from -1..4.  The exhaustive checks
+# are held at n <= 3 (``verify`` always gets --n) so each example stays fast.
+_INT = st.integers(min_value=-1, max_value=4).map(str)
+_TUPLE = st.sampled_from(["0,1", "1,1", "2,2", "3,0", "1,0,0,0", "x"])
+_MODEL = st.sampled_from(
+    ["2,0@0", "1,1@0", "1,1@1", "0,2@1", "2,1@0", "1,2@1", "2,0"]
+)
+_COUNTED = {"--n": _INT, "--d": _INT}
+# command -> (actions, required options, other options); True marks a flag
+_COMMANDS = {
+    "tuples": ((), _COUNTED, {}),
+    "class-size": ((), _COUNTED, {"--tuple": _TUPLE}),
+    "entropy": ((), _COUNTED, {}),
+    "entropy-sweep": ((), {"--n": _INT}, {}),
+    "complexity": ((), _COUNTED,
+                   {"--tuple": _TUPLE, "--exact": True, "--max-size": _INT}),
+    "cover": ((), {**_COUNTED, "--tuple": _TUPLE}, {}),
+    "game": (("solve", "trace"), {"--d": _INT, "--r": _INT}, {}),
+    "phase": (("constants", "majority", "sweep", "separation"), {}, {
+        **_COUNTED,
+        "--rule": st.sampled_from(["below-sqrt", "below-quarter", "above-sqrt"]),
+        "--a": _INT,
+        "--n-values": st.lists(_INT, min_size=1, max_size=3).map(",".join),
+        "--trials": _INT, "--seed": _INT, "--exact": True,
+    }),
+    "verify": (("counting", "stirling", "monotone", "game-theorem"),
+               {"--n": st.integers(min_value=-1, max_value=3).map(str)},
+               {"--d": _INT, "--max-n": _INT, "--max-m": _INT, "--max-r": _INT,
+                "--max-side": _INT, "--mode": st.sampled_from(["bounds", "exact"])}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    actions, required, optional = _COMMANDS[command]
+    argv = [command] + ([draw(st.sampled_from(actions))] if actions else [])
+    argv += ["--tau", draw(st.sampled_from(["p", "p,q", "p,p"]))]
+    for flag, values in {**required, **optional}.items():
+        if flag in required or draw(st.booleans()):
+            argv += [flag] if values is True else [flag, draw(values)]
+    if command == "game":
+        for flag in ("--left", "--right"):
+            for model in draw(st.lists(_MODEL, max_size=3)):
+                argv += [flag, model]
+    return argv + ["--format", draw(st.sampled_from(["json", "csv", "text"]))]
+
+
+def _run_captured(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argv())
+def test_generated_argv_exits_cleanly_and_deterministically(argv):
+    code, out = _run_captured(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert _run_captured(argv) == (code, out), argv

@@ -8,10 +8,7 @@ from gmlu.combinatorics import (
     BoundPair,
     check_growth_bound,
     check_stirling_bounds,
-    chernoff_lower,
-    chernoff_upper,
     multinomial,
-    robbins_bounds,
     stirling_r_assoc,
 )
 
@@ -99,23 +96,3 @@ def test_multinomial_factorial_identity():
     with pytest.raises(ValueError):
         multinomial(4, [2, 1])
 
-
-def test_chernoff_values():
-    assert chernoff_lower(10, 0.3, 0.0) == 1.0
-    assert chernoff_upper(10, 0.3, 0.0) == 1.0
-    assert chernoff_lower(100, Fraction(1, 2), 0.2) == pytest.approx(math.exp(-1))
-    assert chernoff_upper(100, Fraction(1, 2), 1.0) == pytest.approx(
-        math.exp(-50 / 3)
-    )
-    with pytest.raises(ValueError):
-        chernoff_lower(10, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        chernoff_upper(10, 0.5, -0.1)
-
-
-def test_robbins_brackets_factorials():
-    for n in range(1, 21):
-        pair = robbins_bounds(n)
-        assert pair.contains_strictly(math.factorial(n)), n
-    with pytest.raises(ValueError):
-        robbins_bounds(0)
