@@ -95,6 +95,25 @@ def _at_least(low: int, flag: str, many: bool = False):
     return parse
 
 
+def _finite(flag: str):
+    """argparse type of a float option whose value must be finite."""
+    def parse(text: str) -> float:
+        try:
+            if math.isfinite(value := float(text)):
+                return value
+        except ValueError:
+            pass
+        raise SystemExit(_usage_error(f"bad {flag} {text!r}; expected a finite number"))
+
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports its usage errors, and its subparsers', as one ``error:`` line."""
+    def error(self, message):
+        raise SystemExit(_usage_error(message))
+
+
 class _Report:
     """One report: header scalars plus an optional row table.
 
@@ -487,7 +506,7 @@ def _cmd_verify(args, vocab, caps) -> _Report:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gmlu",
         description="Exact computations for graded universal modal logic "
         "over finite models.",
@@ -559,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=n_type)
     p.add_argument("--d", type=d_type)
     p.add_argument("--rule", choices=("below-sqrt", "below-quarter", "above-sqrt"))
-    p.add_argument("--a", type=float, default=1.0)
+    p.add_argument("--a", type=_finite("--a"), default=1.0)
     p.add_argument("--n-values", type=_at_least(1, "--n-values", many=True),
                    help="comma-separated domain sizes for sweep")
     p.add_argument("--trials", type=_at_least(1, "--trials"), default=10000)
@@ -610,7 +629,7 @@ def main(argv=None) -> int:
         raise SystemExit(_usage_error(f"bad --tau {args.tau!r}: {exc}"))
     try:
         report = args.func(args, vocab, caps)
-    except (ScaleCapError, FormulaError, ValueError) as exc:
+    except (ScaleCapError, FormulaError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = io.StringIO()

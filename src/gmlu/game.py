@@ -19,7 +19,7 @@ embeds into a win at the same budget without them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .complexity import minimal_separating_size
@@ -62,22 +62,6 @@ class PropMove(GameMove):
     literal: Lit
 
 
-@dataclass(frozen=True)
-class OrSplitMove(GameMove):
-    part1: frozenset[PointedProfile]
-    part2: frozenset[PointedProfile]
-    r1: int
-    r2: int
-
-
-@dataclass(frozen=True)
-class AndSplitMove(GameMove):
-    part1: frozenset[PointedProfile]
-    part2: frozenset[PointedProfile]
-    r1: int
-    r2: int
-
-
 # A selection assigns each model of a side a type-count subvector of the
 # required size.  Exact-count moves let S pick, per model on one side,
 # either a P-set ("P", grade+1 points) or an N-set ("N", n-grade+1).
@@ -86,31 +70,45 @@ LabelledSelection = tuple[PointedProfile, tuple[str, tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
-class DiaGeqMove(GameMove):
-    grade: int
-    left_selections: tuple[Selection, ...]
-    right_selections: tuple[Selection, ...]
+class SplitMove(GameMove):
+    """An "or-split" of the left side or an "and-split" of the right."""
+
+    kind: str
+    part1: frozenset[PointedProfile]
+    part2: frozenset[PointedProfile]
+    r1: int
+    r2: int
 
 
 @dataclass(frozen=True)
-class BoxLtMove(GameMove):
+class CountMove(GameMove):
+    """A counting move of kind "<>=", "[]<", "<>==" or "[]!="; the side
+    that picks grade points (or grade+1 / n-grade+1 labelled sets) is the
+    left one for the diamonds and the right one for the boxes."""
+
+    kind: str
     grade: int
-    left_selections: tuple[Selection, ...]
-    right_selections: tuple[Selection, ...]
+    left_selections: tuple[Selection | LabelledSelection, ...]
+    right_selections: tuple[Selection | LabelledSelection, ...]
 
 
-@dataclass(frozen=True)
-class DiaEqMove(GameMove):
-    grade: int
-    left_selections: tuple[Selection, ...]
-    right_selections: tuple[LabelledSelection, ...]
+# NNF negation swaps each box or and-move with its diamond or or-move at
+# equal size, so a dual move is that move played on the swapped position.
+_DUAL = {"[]<": "<>=", "[]!=": "<>==", "and-split": "or-split"}
 
 
-@dataclass(frozen=True)
-class BoxNeqMove(GameMove):
-    grade: int
-    left_selections: tuple[LabelledSelection, ...]
-    right_selections: tuple[Selection, ...]
+def _dual(move: SplitMove | CountMove) -> SplitMove | CountMove:
+    if isinstance(move, SplitMove):
+        return replace(move, kind=_DUAL[move.kind])
+    return replace(
+        move, kind=_DUAL[move.kind],
+        left_selections=move.right_selections,
+        right_selections=move.left_selections,
+    )
+
+
+def _swapped(pos: GamePosition) -> GamePosition:
+    return GamePosition(pos.resource, pos.right, pos.left, pos.modal_move_made)
 
 
 @dataclass(frozen=True)
@@ -154,24 +152,15 @@ def _sorted_models(models: frozenset[PointedProfile]) -> list[PointedProfile]:
     return sorted(models, key=PointedProfile.sort_key)
 
 
-def _selection_products(models, size: int) -> list[tuple[Selection, ...]]:
-    """Every way of assigning each model a size-point subvector."""
+def _selection_products(models, size: int, n_size: int | None = None) -> list[tuple]:
+    """Every way of assigning each model a size-point subvector; with
+    ``n_size``, a labelled ("P", size) or ("N", n_size) one."""
     assignments: list[tuple] = [()]
     for pm in _sorted_models(models):
-        vecs = _subvectors(pm.profile.counts, size)
-        if not vecs:
-            return []
-        assignments = [a + ((pm, v),) for a in assignments for v in vecs]
-    return assignments
-
-
-def _labelled_products(
-    models, p_size: int, n_size: int
-) -> list[tuple[LabelledSelection, ...]]:
-    assignments: list[tuple] = [()]
-    for pm in _sorted_models(models):
-        opts = [("P", v) for v in _subvectors(pm.profile.counts, p_size)]
-        opts += [("N", v) for v in _subvectors(pm.profile.counts, n_size)]
+        opts = _subvectors(pm.profile.counts, size)
+        if n_size is not None:
+            opts = [("P", v) for v in opts]
+            opts += [("N", v) for v in _subvectors(pm.profile.counts, n_size)]
         if not opts:
             return []
         assignments = [a + ((pm, o),) for a in assignments for o in opts]
@@ -189,7 +178,7 @@ def legal_moves(pos: GamePosition, d: int, vocab: Vocabulary) -> list[GameMove]:
         for sym in vocab.symbols:
             for positive in (True, False):
                 moves.append(PropMove(Lit(sym, positive)))
-    for move_cls, side in ((OrSplitMove, pos.left), (AndSplitMove, pos.right)):
+    for kind, side in (("or-split", pos.left), ("and-split", pos.right)):
         if r >= 3 and len(side) >= 2:
             items = _sorted_models(side)
             for k in range(1, len(items)):
@@ -197,55 +186,52 @@ def legal_moves(pos: GamePosition, d: int, vocab: Vocabulary) -> list[GameMove]:
                     part1 = frozenset(combo)
                     part2 = side - part1
                     for r1 in range(1, r - 1):
-                        moves.append(move_cls(part1, part2, r1, r - 1 - r1))
-    for k in range(0, min(d, r - 1) + 1):
-        for sl in _selection_products(pos.left, k):
-            for sr in _selection_products(pos.right, n - k + 1):
-                moves.append(DiaGeqMove(k, sl, sr))
-        for sl in _selection_products(pos.left, n - k + 1):
-            for sr in _selection_products(pos.right, k):
-                moves.append(BoxLtMove(k, sl, sr))
-    for k in range(0, min(d - 1, r - 1) + 1):
-        for sl in _selection_products(pos.left, k):
-            for sr in _labelled_products(pos.right, k + 1, n - k + 1):
-                moves.append(DiaEqMove(k, sl, sr))
-        for sl in _labelled_products(pos.left, k + 1, n - k + 1):
-            for sr in _selection_products(pos.right, k):
-                moves.append(BoxNeqMove(k, sl, sr))
+                        moves.append(SplitMove(kind, part1, part2, r1, r - 1 - r1))
+    # At grade k a diamond move picks k points on the left and the other
+    # sets on the right (n-k+1 points, or labelled k+1 / n-k+1 sets); its
+    # dual box picks them the other way round.
+    for (dia, box), top, exact in (
+        (("<>=", "[]<"), d, False), (("<>==", "[]!="), d - 1, True)
+    ):
+        for k in range(0, min(top, r - 1) + 1):
+            other = (k + 1, n - k + 1) if exact else (n - k + 1,)
+            picks = [_selection_products(side, k) for side in (pos.left, pos.right)]
+            rest = [_selection_products(side, *other) for side in (pos.left, pos.right)]
+            moves += [CountMove(dia, k, sl, sr) for sl in picks[0] for sr in rest[1]]
+            moves += [CountMove(box, k, sl, sr) for sl in rest[0] for sr in picks[1]]
     return moves
 
 
-def _check_selection(selections, models, expected_size: int):
-    if frozenset(pm for pm, _ in selections) != models or len(selections) != len(
-        models
-    ):
+def _check_selection(selections, models, size: int, n_size: int | None = None):
+    """Each model of the side has one size-point selection; with
+    ``n_size``, one labelled ("P", size) or ("N", n_size) selection."""
+    covered = [pm for pm, _ in selections]
+    if len(covered) != len(models) or frozenset(covered) != models:
         raise ValueError("selections must cover the side exactly once each")
     for pm, vec in selections:
+        expected = size
+        if n_size is not None:
+            label, vec = vec
+            if label not in ("P", "N"):
+                raise ValueError(f"bad selection label {label!r}")
+            expected = size if label == "P" else n_size
         if len(vec) != len(pm.profile.counts):
             raise ValueError("selection vector length mismatch")
         if any(v < 0 or v > c for v, c in zip(vec, pm.profile.counts)):
             raise ValueError(f"selection {vec} exceeds counts {pm.profile.counts}")
-        if sum(vec) != expected_size:
-            raise ValueError(f"selection {vec} does not pick {expected_size} points")
-
-
-def _check_labelled(selections, models, p_size: int, n_size: int):
-    if frozenset(pm for pm, _ in selections) != models or len(selections) != len(
-        models
-    ):
-        raise ValueError("selections must cover the side exactly once each")
-    for pm, (label, vec) in selections:
-        if label not in ("P", "N"):
-            raise ValueError(f"bad selection label {label!r}")
-        _check_selection(((pm, vec),), frozenset({pm}), p_size if label == "P" else n_size)
+        if sum(vec) != expected:
+            raise ValueError(f"selection {vec} does not pick {expected} points")
 
 
 def apply_move(pos: GamePosition, move: GameMove, vocab: Vocabulary) -> MoveOutcome:
-    """Play one move of S; prop moves end the game, splits hand D a choice."""
-    r = pos.resource
-    if r < 1:
+    """Play one move of S; prop moves end the game, splits hand D a choice.
+
+    A "[]<", "[]!=" or and-split move is played as its dual "<>=", "<>=="
+    or or-split move on the swapped position, and its successors are
+    swapped back.
+    """
+    if pos.resource < 1:
         raise ValueError("no moves at resource 0")
-    n = pos.n if pos.n is not None else 0
     if isinstance(move, PropMove):
         if not pos.modal_move_made:
             raise ValueError("literal moves are only legal after a modal move")
@@ -254,68 +240,48 @@ def apply_move(pos: GamePosition, move: GameMove, vocab: Vocabulary) -> MoveOutc
             pm.point_type not in types for pm in pos.right
         )
         return MoveOutcome(S_WINS if s_wins else D_WINS)
-    if isinstance(move, (OrSplitMove, AndSplitMove)):
-        side = pos.left if isinstance(move, OrSplitMove) else pos.right
-        if move.part1 | move.part2 != side:
+    if getattr(move, "kind", None) in _DUAL:
+        succ = _play(_swapped(pos), _dual(move))
+        return MoveOutcome(None, tuple(_swapped(q) for q in succ))
+    return MoveOutcome(None, _play(pos, move))
+
+
+def _play(pos: GamePosition, move: GameMove) -> tuple[GamePosition, ...]:
+    """The successors of an or-split, "<>=" or "<>==" move."""
+    r = pos.resource
+    n = pos.n if pos.n is not None else 0
+    if isinstance(move, SplitMove) and move.kind == "or-split":
+        if move.part1 | move.part2 != pos.left:
             raise ValueError("split parts must cover the side")
         if move.r1 < 1 or move.r2 < 1 or move.r1 + move.r2 + 1 != r:
             raise ValueError(f"bad resource split ({move.r1}, {move.r2}) of {r}")
-        if isinstance(move, OrSplitMove):
-            succ = (
-                GamePosition(move.r1, move.part1, pos.right, pos.modal_move_made),
-                GamePosition(move.r2, move.part2, pos.right, pos.modal_move_made),
-            )
-        else:
-            succ = (
-                GamePosition(move.r1, pos.left, move.part1, pos.modal_move_made),
-                GamePosition(move.r2, pos.left, move.part2, pos.modal_move_made),
-            )
-        return MoveOutcome(None, succ)
+        return (
+            GamePosition(move.r1, move.part1, pos.right, pos.modal_move_made),
+            GamePosition(move.r2, move.part2, pos.right, pos.modal_move_made),
+        )
+    if not (isinstance(move, CountMove) and move.kind in ("<>=", "<>==")):
+        raise TypeError(f"not a game move: {move!r}")
     k = move.grade
     if k >= r:
         raise ValueError(f"grade {k} needs resource above {r}")
+    exact = move.kind == "<>=="
+    other = (k + 1, n - k + 1) if exact else (n - k + 1,)
+    _check_selection(move.left_selections, pos.left, k)
+    _check_selection(move.right_selections, pos.right, *other)
     new_left: set[PointedProfile] = set()
     new_right: set[PointedProfile] = set()
-    if isinstance(move, DiaGeqMove):
-        _check_selection(move.left_selections, pos.left, k)
-        _check_selection(move.right_selections, pos.right, n - k + 1)
-        for pm, vec in move.left_selections:
-            new_left.update(_touched(pm, vec))
-        for pm, vec in move.right_selections:
-            new_right.update(_touched(pm, vec))
-        budget = r - k
-    elif isinstance(move, BoxLtMove):
-        _check_selection(move.left_selections, pos.left, n - k + 1)
-        _check_selection(move.right_selections, pos.right, k)
-        for pm, vec in move.left_selections:
-            new_left.update(_touched(pm, vec))
-        for pm, vec in move.right_selections:
-            new_right.update(_touched(pm, vec))
-        budget = r - k
-    elif isinstance(move, DiaEqMove):
-        _check_selection(move.left_selections, pos.left, k)
-        _check_labelled(move.right_selections, pos.right, k + 1, n - k + 1)
-        for pm, vec in move.left_selections:
-            new_left.update(_touched(pm, vec))
+    for pm, vec in move.left_selections:
+        new_left.update(_touched(pm, vec))
+        if exact:
             new_right.update(_touched(pm, _complement(pm.profile.counts, vec)))
-        for pm, (label, vec) in move.right_selections:
+    for pm, choice in move.right_selections:
+        if exact:
+            label, vec = choice
             (new_left if label == "P" else new_right).update(_touched(pm, vec))
-        budget = r - k - 1
-    elif isinstance(move, BoxNeqMove):
-        _check_labelled(move.left_selections, pos.left, k + 1, n - k + 1)
-        _check_selection(move.right_selections, pos.right, k)
-        for pm, vec in move.right_selections:
-            new_right.update(_touched(pm, vec))
-            new_left.update(_touched(pm, _complement(pm.profile.counts, vec)))
-        for pm, (label, vec) in move.left_selections:
-            (new_right if label == "P" else new_left).update(_touched(pm, vec))
-        budget = r - k - 1
-    else:
-        raise TypeError(f"not a game move: {move!r}")
-    return MoveOutcome(
-        None,
-        (GamePosition(budget, frozenset(new_left), frozenset(new_right), True),),
-    )
+        else:
+            new_right.update(_touched(pm, choice))
+    budget = r - k - 1 if exact else r - k
+    return (GamePosition(budget, frozenset(new_left), frozenset(new_right), True),)
 
 
 class _Solver:
@@ -325,10 +291,15 @@ class _Solver:
     budget at which S wins, so the solver computes that one integer per
     position: a split costs v1 + v2 + 1, a threshold move of grade k
     costs k plus its successor's value, an exact move of grade k costs
-    k + 1 plus it.  ``least(cap, ...)`` returns v when v <= cap.  Its
-    memo keeps one entry per position, either the exact v or a proven
-    lower bound "v > cap" left by a search that found nothing within
-    cap; a later query with a larger cap searches again.
+    k + 1 plus it.  ``least(cap, ...)`` returns v when v <= cap.
+
+    NNF negation keeps formula size, so v(A, B, m) = v(B, A, m): the memo
+    keys the unordered pair of sides, and the "[]<", "[]!=" and and-split
+    moves are generated as the "<>=", "<>==" and or-split moves of the
+    swapped position, whose successors keep that orientation.  The memo
+    keeps one entry per position, either the exact v or a proven lower
+    bound "v > cap" left by a search that found nothing within cap; a
+    later query with a larger cap searches again.
 
     Pointed profiles of one domain size are indexed once; sides become
     int bitmasks.  Counting moves are enumerated by folding per-model
@@ -342,7 +313,9 @@ class _Solver:
         self.n = n
         self.d = d
         self.pms = pointed_profiles(n, vocab)
-        self.pm_index = {pm: i for i, pm in enumerate(self.pms)}
+        self.pm_index = {
+            (pm.profile.counts, pm.point_type): i for i, pm in enumerate(self.pms)
+        }
         self.lit_masks = []
         for sym in vocab.symbols:
             for positive in (True, False):
@@ -352,9 +325,6 @@ class _Solver:
                     if pm.point_type in types:
                         mask |= 1 << i
                 self.lit_masks.append(mask)
-        self._bit: dict[tuple[tuple[int, ...], int], int] = {}
-        for i, pm in enumerate(self.pms):
-            self._bit[(pm.profile.counts, pm.point_type)] = 1 << i
         self._counts = [pm.profile.counts for pm in self.pms]
         # a successor is packed as its left mask | its right mask << width
         self._width = len(self.pms)
@@ -366,13 +336,13 @@ class _Solver:
     def encode(self, models) -> int:
         mask = 0
         for pm in models:
-            mask |= 1 << self.pm_index[pm]
+            mask |= 1 << self.pm_index[pm.sort_key()]
         return mask
 
     def _support_mask(self, counts: tuple[int, ...], types) -> int:
         mask = 0
         for i in types:
-            mask |= self._bit[(counts, i)]
+            mask |= 1 << self.pm_index[(counts, i)]
         return mask
 
     def _sel_masks(
@@ -399,13 +369,11 @@ class _Solver:
             self._sel_cache[key] = masks
         return self._sel_cache[key]
 
-    def _sel_pairs(self, counts: tuple[int, ...], k: int, swapped: bool):
-        """Distinct exact k-point picks from a model of the picking side,
-        each packed as its picked points on that side and the rest on the
-        other (the right side when not ``swapped``)."""
-        key = (counts, k, swapped)
+    def _sel_pairs(self, counts: tuple[int, ...], k: int):
+        """Distinct exact k-point picks from a left model, each packed as
+        its picked points on the left and the rest on the right."""
+        key = (counts, k)
         if key not in self._pair_cache:
-            p_shift, n_shift = (self._width, 0) if swapped else (0, self._width)
             pairs = set()
             for vec in _subvectors(counts, k):
                 pmask = self._support_mask(
@@ -414,7 +382,7 @@ class _Solver:
                 nmask = self._support_mask(
                     counts, (i for i, (c, v) in enumerate(zip(counts, vec)) if c > v)
                 )
-                pairs.add(pmask << p_shift | nmask << n_shift)
+                pairs.add(pmask | nmask << self._width)
             self._pair_cache[key] = tuple(sorted(pairs))
         return self._pair_cache[key]
 
@@ -435,27 +403,23 @@ class _Solver:
             acc = {a | x for a in acc for x in opts}
         return acc
 
-    def _threshold_successors(self, A: int, B: int, left_size: int, right_size: int):
-        opts = [self._sel_masks(self._counts[i], left_size) for i in self._bits(A)]
+    def _threshold_successors(self, A: int, B: int, k: int):
+        """Successors of the "<>=" moves of grade k."""
+        opts = [self._sel_masks(self._counts[i], k) for i in self._bits(A)]
         opts += [
-            self._sel_masks(self._counts[i], right_size, self._width)
+            self._sel_masks(self._counts[i], self.n - k + 1, self._width)
             for i in self._bits(B)
         ]
         return self._fold(opts)
 
-    def _exact_successors(self, A: int, B: int, k: int, swapped: bool):
-        """Exact-count successors; ``swapped`` runs the dual move."""
-        n = self.n
-        pick_side, choice_side = (B, A) if swapped else (A, B)
-        p_shift, n_shift = (self._width, 0) if swapped else (0, self._width)
-        opts = [
-            self._sel_pairs(self._counts[i], k, swapped) for i in self._bits(pick_side)
-        ]
-        for i in self._bits(choice_side):
+    def _exact_successors(self, A: int, B: int, k: int):
+        """Successors of the "<>==" moves of grade k."""
+        opts = [self._sel_pairs(self._counts[i], k) for i in self._bits(A)]
+        for i in self._bits(B):
             c = self._counts[i]
             opts.append(
-                self._sel_masks(c, k + 1, p_shift)
-                + self._sel_masks(c, n - k + 1, n_shift)
+                self._sel_masks(c, k + 1)
+                + self._sel_masks(c, self.n - k + 1, self._width)
             )
         return self._fold(opts)
 
@@ -464,32 +428,30 @@ class _Solver:
 
         A threshold move of grade k costs k and an exact move of grade k
         costs k + 1; the successor then needs its own least budget on
-        top.  The successor sets are built one move kind at a time, so a
-        win in an early one saves building the rest.
+        top.  Each diamond move is generated on (A, B) and its dual box
+        on (B, A).  The successor sets are built one move kind at a time,
+        so a win in an early one saves building the rest.
         """
-        n = self.n
-        yield from self._threshold_successors(A, B, cost, n - cost + 1)
-        yield from self._threshold_successors(A, B, n - cost + 1, cost)
-        yield from self._exact_successors(A, B, cost - 1, False)
-        yield from self._exact_successors(A, B, cost - 1, True)
+        for successors, k in (
+            (self._threshold_successors, cost), (self._exact_successors, cost - 1)
+        ):
+            for X, Y in ((A, B), (B, A)):
+                yield from successors(X, Y, k)
 
     @staticmethod
     def _split_successors(A: int, B: int):
-        """Both positions of every or-split of A and every and-split of B.
+        """Both positions of every or-split of A, then of every or-split
+        of the swapped position (B, A), which is an and-split of B.
 
         Each unordered partition into two nonempty blocks appears once.
         """
-        for split_left, side in ((True, A), (False, B)):
-            low = side & -side
-            rest = side ^ low
+        for X, Y in ((A, B), (B, A)):
+            low = X & -X
+            rest = X ^ low
             sub = rest
             while sub:
                 sub = (sub - 1) & rest
-                part1, part2 = low | sub, rest ^ sub
-                if split_left:
-                    yield (part1, B), (part2, B)
-                else:
-                    yield (A, part1), (A, part2)
+                yield (low | sub, Y), (rest ^ sub, Y)
 
     def least(self, cap: int, A: int, B: int, modal_made: bool) -> int | None:
         """The least budget v at which S wins from (A, B), or None if v > cap.
@@ -510,9 +472,10 @@ class _Solver:
                     return 1
         if cap == 1:
             return None  # only a literal or an empty side wins with budget 1
-        # Memo entries: v when v is known, else -lb for a proven v > lb;
-        # without an entry, v > 1 is known from the checks above.
-        key = (A | B << self._width) << 1 | modal_made
+        # Memo entries, keyed by the smaller orientation: v when v is
+        # known, else -lb for a proven v > lb; without an entry, v > 1 is
+        # known from the checks above.
+        key = min(A | B << self._width, B | A << self._width) << 1 | modal_made
         known = self.memo.get(key, -1)
         if known > 0:
             return known if known <= cap else None
@@ -613,20 +576,14 @@ def _pm_json(pm: PointedProfile) -> dict:
 def _move_json(move: GameMove) -> dict:
     if isinstance(move, PropMove):
         return {"kind": "prop", "literal": format_formula(move.literal)}
-    if isinstance(move, (OrSplitMove, AndSplitMove)):
+    if isinstance(move, SplitMove):
         return {
-            "kind": "or-split" if isinstance(move, OrSplitMove) else "and-split",
+            "kind": move.kind,
             "r1": move.r1,
             "r2": move.r2,
             "part1": [_pm_json(pm) for pm in _sorted_models(move.part1)],
             "part2": [_pm_json(pm) for pm in _sorted_models(move.part2)],
         }
-    kinds = {
-        DiaGeqMove: "<>=",
-        BoxLtMove: "[]<",
-        DiaEqMove: "<>==",
-        BoxNeqMove: "[]!=",
-    }
 
     def sel_json(sel):
         pm, choice = sel
@@ -635,7 +592,7 @@ def _move_json(move: GameMove) -> dict:
         return {"model": _pm_json(pm), "pick": list(choice)}
 
     return {
-        "kind": kinds[type(move)],
+        "kind": move.kind,
         "grade": move.grade,
         "left_selections": [sel_json(s) for s in move.left_selections],
         "right_selections": [sel_json(s) for s in move.right_selections],

@@ -315,6 +315,35 @@ def test_option_below_its_bound_exit_code_2(capsys, argv, flag):
     assert flag in _assert_usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize("a", ["inf", "1e400", "nan"])
+def test_non_finite_a_exit_code_2(capsys, a):
+    err = _assert_usage_error(capsys, [
+        "phase", "sweep", "--tau", "p", "--rule", "below-sqrt", "--a", a,
+        "--n-values", "16",
+    ])
+    assert "--a" in err
+
+
+def test_depth_rule_overflow_is_one_error_line(capsys):
+    code = main([
+        "phase", "sweep", "--tau", "p", "--rule", "below-sqrt", "--a", "1e308",
+        "--n-values", "16",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["phase", "majority", "--tau", "p", "--n", "4"], "--d"),
+    (["tuples", "--tau", "p", "--n", "4"], "--d"),
+    (["bogus"], "bogus"),
+    (["game", "solve", "--tau", "p", "--d", "1"], "--r"),
+])
+def test_argparse_usage_error_is_one_line(capsys, argv, names):
+    assert names in _assert_usage_error(capsys, argv)
+
+
 def test_game_trace_at_zero_budget_is_a_duplicator_win(capsys):
     payload = run_json(
         capsys, "game", "trace", "--tau", "p", "--d", "1", "--r", "0",

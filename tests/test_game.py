@@ -5,12 +5,12 @@ import pytest
 from gmlu.complexity import minimal_separating_size
 from gmlu.config import ScaleCapError
 from gmlu.game import (
+    CountMove,
     D_WINS,
-    DiaGeqMove,
     GamePosition,
-    OrSplitMove,
     PropMove,
     S_WINS,
+    SplitMove,
     _Solver,
     apply_move,
     check_game_formula_equivalence,
@@ -82,7 +82,10 @@ def test_legal_moves_rejects_resource_zero():
 
 def test_dia_geq_move_includes_singleton_selections():
     pos = GamePosition(2, frozenset({ALL_P}), frozenset({MIXED_P}))
-    dia = [m for m in legal_moves(pos, 1, V1) if isinstance(m, DiaGeqMove)]
+    dia = [
+        m for m in legal_moves(pos, 1, V1)
+        if isinstance(m, CountMove) and m.kind == "<>="
+    ]
     grades = {m.grade for m in dia}
     assert 1 in grades  # k=0 needs n+1 points on the right, so only k=1
 
@@ -98,7 +101,7 @@ def test_apply_prop_move():
 def test_apply_or_split_returns_both_positions():
     a, b = pp((3, 0), 0), pp((1, 2), 0)
     pos = GamePosition(5, frozenset({a, b}), frozenset({pp((2, 1), 0)}))
-    move = OrSplitMove(frozenset({a}), frozenset({b}), 2, 2)
+    move = SplitMove("or-split", frozenset({a}), frozenset({b}), 2, 2)
     outcome = apply_move(pos, move, V1)
     assert outcome.winner is None and len(outcome.positions) == 2
     assert {p.resource for p in outcome.positions} == {2}
@@ -109,7 +112,8 @@ def test_apply_or_split_returns_both_positions():
 
 def test_apply_dia_geq_decrements_resource_by_grade():
     pos = GamePosition(4, frozenset({ALL_P}), frozenset({MIXED_P}))
-    move = DiaGeqMove(
+    move = CountMove(
+        "<>=",
         1,
         left_selections=((ALL_P, (1, 0)),),
         right_selections=((MIXED_P, (1, 1)),),
@@ -122,10 +126,54 @@ def test_apply_dia_geq_decrements_resource_by_grade():
     assert nxt.right == frozenset({pp((1, 1), 0), pp((1, 1), 1)})
 
 
+def test_apply_box_lt_keeps_the_sides():
+    # []<1 psi: the left model shows n-1+1 = 2 points satisfying psi, the
+    # right one 1 point refuting it
+    pos = GamePosition(3, frozenset({ALL_P}), frozenset({MIXED_P}))
+    move = CountMove(
+        "[]<", 1,
+        left_selections=((ALL_P, (2, 0)),),
+        right_selections=((MIXED_P, (0, 1)),),
+    )
+    (nxt,) = apply_move(pos, move, V1).positions
+    assert nxt.resource == 2
+    assert nxt.left == frozenset({pp((2, 0), 0)})
+    assert nxt.right == frozenset({pp((1, 1), 1)})
+    assert nxt.modal_move_made
+
+
+def test_apply_box_neq_keeps_the_sides():
+    # []!=1 psi at n=2: a left model shows a "P" set of 2 points refuting
+    # psi or an "N" set of 2 points satisfying it; the right model shows
+    # the 1 point refuting psi, and its other point satisfies psi
+    all_not_p = pp((0, 2), 1)
+    pos = GamePosition(3, frozenset({ALL_P, all_not_p}), frozenset({MIXED_P}))
+    move = CountMove(
+        "[]!=", 1,
+        left_selections=((ALL_P, ("N", (2, 0))), (all_not_p, ("P", (0, 2)))),
+        right_selections=((MIXED_P, (1, 0)),),
+    )
+    (nxt,) = apply_move(pos, move, V1).positions
+    assert nxt.resource == 1
+    assert nxt.left == frozenset({pp((2, 0), 0), pp((1, 1), 1)})
+    assert nxt.right == frozenset({pp((1, 1), 0), pp((0, 2), 1)})
+    assert nxt.modal_move_made
+
+
+def test_apply_and_split_splits_the_right_side():
+    a, b, c = pp((3, 0), 0), pp((1, 2), 0), pp((2, 1), 0)
+    pos = GamePosition(5, frozenset({c}), frozenset({a, b}), modal_move_made=True)
+    move = SplitMove("and-split", frozenset({a}), frozenset({b}), 1, 3)
+    first, second = apply_move(pos, move, V1).positions
+    assert (first.resource, first.left, first.right) == (1, {c}, {a})
+    assert (second.resource, second.left, second.right) == (3, {c}, {b})
+    assert first.modal_move_made and second.modal_move_made
+
+
 def test_apply_move_validates_selection():
     pos = GamePosition(4, frozenset({ALL_P}), frozenset({MIXED_P}))
-    bad = DiaGeqMove(
-        1, left_selections=((ALL_P, (0, 1)),), right_selections=((MIXED_P, (1, 1)),)
+    bad = CountMove(
+        "<>=", 1, left_selections=((ALL_P, (0, 1)),), right_selections=((MIXED_P, (1, 1)),)
     )
     with pytest.raises(ValueError):
         apply_move(pos, bad, V1)
