@@ -208,13 +208,14 @@ class FormulaSearch:
     """Size-ordered enumeration of depth-bounded formulas over a fixed
     profile family, deduplicated by semantic signature.
 
-    Each candidate carries a pointwise signature: per profile, the
-    bitmask of types whose points satisfy it.  The signature is a
-    congruence for all connectives, so keeping only the smallest
-    formula per signature preserves minimal sizes.  Formulas whose
-    literals are all covered by a modality additionally get a global
-    signature (one bit per profile); those are the candidates that can
-    define or separate classes.
+    Each candidate carries a pointwise signature, one int with t bits
+    per profile: bit j of block i (bits i*t .. i*t+t-1) is set when
+    type j's points of profile i satisfy it, so And and Or are one int
+    operation each.  The signature is a congruence for all connectives,
+    so keeping only the smallest formula per signature preserves
+    minimal sizes.  Formulas whose literals are all covered by a
+    modality additionally get a global signature (one bit per profile);
+    those are the candidates that can define or separate classes.
 
     Grade-0 threshold modalities are semantically constant, so they are
     seeded once as size-1 constants instead of being re-derived at
@@ -227,13 +228,23 @@ class FormulaSearch:
         self.vocab = vocab
         self.d = d
         self.profiles = tuple(profiles)
-        if len({p.counts for p in self.profiles}) != len(self.profiles):
+        self.index = {p.counts: i for i, p in enumerate(self.profiles)}
+        if len(self.index) != len(self.profiles):
             raise ValueError("profiles must be distinct")
-        self.counts = [p.counts for p in self.profiles]
         self.sizes = [p.n for p in self.profiles]
         self.t = vocab.t
         self._full = (1 << self.t) - 1
         self._all_profiles_mask = (1 << len(self.profiles)) - 1
+        # block i of a signature starts at bit _shifts[i]; literal signatures
+        # repeat one type mask in every block
+        self._shifts = [i * self.t for i in range(len(self.profiles))]
+        self._every_block = sum(1 << sh for sh in self._shifts)
+        # per profile, the number of points of each subset of the types
+        self._point_tables = [
+            [sum(c for j, c in enumerate(p.counts) if (m >> j) & 1)
+             for m in range(1 << self.t)]
+            for p in self.profiles
+        ]
         # level s holds the signatures first reached at size s; searches are
         # shared and extend lazily
         self.inner_levels: list[dict] = [{}]
@@ -244,23 +255,26 @@ class FormulaSearch:
 
     # -- signature helpers ------------------------------------------------
 
-    def _point_counts(self, sig) -> list[int]:
+    def _point_counts(self, sig: int) -> list[int]:
+        full = self._full
         return [
-            sum(c for j, c in enumerate(self.counts[i]) if (sig[i] >> j) & 1)
-            for i in range(len(self.profiles))
+            table[(sig >> sh) & full]
+            for sh, table in zip(self._shifts, self._point_tables)
         ]
 
-    def _add_inner(self, sig, formula, level) -> None:
+    def _add_inner(self, sig: int, formula, level) -> None:
         if sig not in self._inner_seen:
             self._inner_seen.add(sig)
             level[sig] = formula
 
-    def _add_outer(self, mask, formula, outer_level, inner_level) -> None:
-        if mask not in self._outer_seen:
-            self._outer_seen.add(mask)
-            outer_level[mask] = formula
-        sig = tuple(
-            self._full if (mask >> i) & 1 else 0 for i in range(len(self.profiles))
+    def _add_outer(self, mask: int, formula, outer_level, inner_level) -> None:
+        # a known mask already put its spread signature in the inner seen set
+        if mask in self._outer_seen:
+            return
+        self._outer_seen.add(mask)
+        outer_level[mask] = formula
+        sig = sum(
+            self._full << sh for i, sh in enumerate(self._shifts) if mask >> i & 1
         )
         self._add_inner(sig, formula, inner_level)
 
@@ -273,12 +287,8 @@ class FormulaSearch:
         if s == 1:
             for sym in self.vocab.symbols:
                 for pos in (True, False):
-                    mask = 0
-                    for j in self.vocab.literal_types(sym, pos):
-                        mask |= 1 << j
-                    self._add_inner(
-                        (mask,) * len(self.profiles), Lit(sym, pos), inner_new
-                    )
+                    mask = sum(1 << j for j in self.vocab.literal_types(sym, pos))
+                    self._add_inner(mask * self._every_block, Lit(sym, pos), inner_new)
             anchor = Lit(self.vocab.symbols[0], True)
             self._add_outer(
                 self._all_profiles_mask, DiamondGeq(0, anchor), outer_new, inner_new
@@ -291,16 +301,8 @@ class FormulaSearch:
                 break
             for sig1, f1 in self.inner_levels[s1].items():
                 for sig2, f2 in self.inner_levels[s2].items():
-                    self._add_inner(
-                        tuple(a & b for a, b in zip(sig1, sig2)),
-                        And(f1, f2),
-                        inner_new,
-                    )
-                    self._add_inner(
-                        tuple(a | b for a, b in zip(sig1, sig2)),
-                        Or(f1, f2),
-                        inner_new,
-                    )
+                    self._add_inner(sig1 & sig2, And(f1, f2), inner_new)
+                    self._add_inner(sig1 | sig2, Or(f1, f2), inner_new)
             for m1, f1 in self.outer_levels[s1].items():
                 for m2, f2 in self.outer_levels[s2].items():
                     self._add_outer(m1 & m2, And(f1, f2), outer_new, inner_new)
@@ -310,18 +312,14 @@ class FormulaSearch:
             for sig, f in self.inner_levels[s - k].items():
                 cnts = self._point_counts(sig)
                 geq = self._mask(c >= k for c in cnts)
-                lt = self._mask(
-                    self.sizes[i] - c < k for i, c in enumerate(cnts)
-                )
+                lt = self._mask(self.sizes[i] - c < k for i, c in enumerate(cnts))
                 self._add_outer(geq, DiamondGeq(k, f), outer_new, inner_new)
                 self._add_outer(lt, BoxLt(k, f), outer_new, inner_new)
         for k in range(0, min(self.d - 1, s - 2) + 1):
             for sig, f in self.inner_levels[s - k - 1].items():
                 cnts = self._point_counts(sig)
                 eq = self._mask(c == k for c in cnts)
-                neq = self._mask(
-                    self.sizes[i] - c != k for i, c in enumerate(cnts)
-                )
+                neq = self._mask(self.sizes[i] - c != k for i, c in enumerate(cnts))
                 self._add_outer(eq, DiamondEq(k, f), outer_new, inner_new)
                 self._add_outer(neq, BoxNeq(k, f), outer_new, inner_new)
         self.inner_levels.append(inner_new)
@@ -330,11 +328,7 @@ class FormulaSearch:
 
     @staticmethod
     def _mask(bits) -> int:
-        mask = 0
-        for i, b in enumerate(bits):
-            if b:
-                mask |= 1 << i
-        return mask
+        return sum(1 << i for i, b in enumerate(bits) if b)
 
     def first_outer_match(self, predicate, max_size: int):
         """Smallest (size, formula) whose global signature satisfies the
@@ -349,10 +343,8 @@ class FormulaSearch:
 
 
 @functools.lru_cache(maxsize=8)
-def _search_for(vocab: Vocabulary, n: int, d: int):
-    profiles = list(enumerate_profiles(n, vocab))
-    index = {p.counts: i for i, p in enumerate(profiles)}
-    return FormulaSearch(vocab, d, profiles), profiles, index
+def _search_for(vocab: Vocabulary, n: int, d: int) -> FormulaSearch:
+    return FormulaSearch(vocab, d, list(enumerate_profiles(n, vocab)))
 
 
 def exact_complexity(
@@ -377,9 +369,9 @@ def exact_complexity(
             f"(n={tup.n}, d={tup.d}) exceeds exact-search caps "
             f"({caps.exact_max_n}, {caps.exact_max_d})"
         )
-    search, profiles, _ = _search_for(vocab, tup.n, tup.d)
+    search = _search_for(vocab, tup.n, tup.d)
     target = 0
-    for i, p in enumerate(profiles):
+    for i, p in enumerate(search.profiles):
         if tuple_of_profile(p, tup.d) == tup:
             target |= 1 << i
     limit = max_size if max_size is not None else upper_bound(tup, vocab).value
@@ -405,12 +397,12 @@ def minimal_separating_size(
     false_counts = {p.counts for p in false_profiles}
     if true_counts & false_counts:
         return None
-    search, _, index = _search_for(vocab, n, d)
+    search = _search_for(vocab, n, d)
     need = avoid = 0
     for c in true_counts:
-        need |= 1 << index[c]
+        need |= 1 << search.index[c]
     for c in false_counts:
-        avoid |= 1 << index[c]
+        avoid |= 1 << search.index[c]
     return search.first_outer_match(
         lambda mask: (mask & need) == need and not (mask & avoid), max_size
     )

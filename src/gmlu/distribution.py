@@ -316,19 +316,28 @@ def dominating_class_sweep(
     return rows
 
 
-_DEPTH_RULES = ("below-sqrt", "below-quarter", "above-sqrt")
+_DEPTH_RULES = {
+    "below-sqrt": lambda n, t, a: n / t - a * math.sqrt(n),
+    "below-quarter": lambda n, t, a: n / t - a * n**0.25,
+    "above-sqrt": lambda n, t, a: n / t + a * math.sqrt(n),
+}
 
 
 def make_depth_rule(kind: str, a: float, vocab: Vocabulary) -> Callable[[int], int]:
-    """Built-in depth rules d(n) around n/t, rounded down, clamped to 1."""
-    t = vocab.t
-    if kind == "below-sqrt":
-        return lambda n: max(1, math.floor(n / t - a * math.sqrt(n)))
-    if kind == "below-quarter":
-        return lambda n: max(1, math.floor(n / t - a * n**0.25))
-    if kind == "above-sqrt":
-        return lambda n: max(1, math.floor(n / t + a * math.sqrt(n)))
-    raise ValueError(f"unknown depth rule {kind!r}; choose from {_DEPTH_RULES}")
+    """Built-in depth rules d(n) = max(1, floor(n/t -/+ a*n^e)); the rule
+    raises ValueError at an n where n/t -/+ a*n^e is not finite."""
+    if kind not in _DEPTH_RULES:
+        raise ValueError(
+            f"unknown depth rule {kind!r}; choose from {tuple(_DEPTH_RULES)}"
+        )
+    center, t = _DEPTH_RULES[kind], vocab.t
+
+    def rule(n: int) -> int:
+        if not math.isfinite(x := center(n, t, a)):
+            raise ValueError(f"depth rule {kind!r} with a={a} is not finite at n={n}")
+        return max(1, math.floor(x))
+
+    return rule
 
 
 def comparability_constant(vocab: Vocabulary) -> int:
@@ -389,10 +398,8 @@ def verify_monotone_connection(
     tuples = enumerate_admissible(n, d, vocab)
     sizes = [class_size(tup) for tup in tuples]
     if mode == "exact":
-        complexities = [exact_complexity(tup, vocab, caps=caps) for tup in tuples]
-        los = his = None
+        his = los = [exact_complexity(tup, vocab, caps=caps) for tup in tuples]
     else:
-        complexities = None
         los = [lower_bound(tup) for tup in tuples]
         his = [upper_bound(tup, vocab).value for tup in tuples]
     # bucket by entry sum so only pairs with a large enough gap are walked
@@ -412,19 +419,12 @@ def verify_monotone_connection(
                         continue
                     pair_count += 1
                     if mode == "exact":
-                        ok = (sizes[i] < sizes[j]) == (
-                            complexities[i] < complexities[j]
-                        )
-                        pair = MonotonePair(
-                            tuples[i], tuples[j], sizes[i], sizes[j],
-                            complexities[i], complexities[j], ok,
-                        )
+                        ok = (sizes[i] < sizes[j]) == (his[i] < los[j])
                     else:
                         ok = his[i] < los[j] and sizes[i] < sizes[j]
-                        pair = MonotonePair(
+                    if not ok:
+                        failures.append(MonotonePair(
                             tuples[i], tuples[j], sizes[i], sizes[j],
                             his[i], los[j], ok,
-                        )
-                    if not ok:
-                        failures.append(pair)
+                        ))
     return MonotoneConnectionReport(n, d, mode, pair_count, tuple(failures))

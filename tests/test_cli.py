@@ -332,6 +332,7 @@ def test_depth_rule_overflow_is_one_error_line(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "below-sqrt" in captured.err and "a=1e+308" in captured.err
 
 
 @pytest.mark.parametrize("argv, names", [

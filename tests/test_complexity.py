@@ -16,7 +16,7 @@ from gmlu.complexity import (
 )
 from gmlu.config import ScaleCapError, SearchCaps
 from gmlu.formulas import format_formula, size
-from gmlu.models import ModelProfile, enumerate_profiles, evaluate
+from gmlu.models import ModelProfile, enumerate_profiles, evaluate, sat_types
 from gmlu.vocab import Vocabulary
 
 V1 = Vocabulary(("p",))
@@ -220,6 +220,32 @@ def test_separating_search_respects_depth():
 def test_search_rejects_duplicate_profiles():
     with pytest.raises(ValueError):
         FormulaSearch(V1, 1, [ModelProfile((1, 0)), ModelProfile((1, 0))])
+
+
+def test_search_signatures_match_the_semantics():
+    # block i of an inner signature holds the types whose points satisfy the
+    # formula in profile i; bit i of an outer mask is its global truth there
+    grid = [(V1, n, d, 8) for n in range(1, 6) for d in range(1, min(n, 3) + 1)]
+    grid += [(V2, n, d, 6) for n in (1, 2) for d in range(1, n + 1)]
+    for vocab, n, d, max_size in grid:
+        profiles = list(enumerate_profiles(n, vocab))
+        search = FormulaSearch(vocab, d, profiles)
+        search.first_outer_match(lambda mask: False, max_size)
+        assert search.max_built == max_size
+        full = (1 << vocab.t) - 1
+        for s, level in enumerate(search.inner_levels):
+            for sig, f in level.items():
+                assert size(f) == s
+                for i, profile in enumerate(profiles):
+                    types = sum(1 << j for j in sat_types(f, profile, vocab))
+                    block = (sig >> i * vocab.t) & full
+                    assert block == types, (format_formula(f), profile.counts)
+        for s, level in enumerate(search.outer_levels):
+            for mask, f in level.items():
+                assert size(f) == s
+                for i, profile in enumerate(profiles):
+                    holds = bool((mask >> i) & 1)
+                    assert holds == evaluate(profile, f, vocab), format_formula(f)
 
 
 def test_type_formula():

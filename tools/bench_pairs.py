@@ -48,7 +48,7 @@ def export_tree(sha: str, dest: Path) -> None:
     subprocess.run(["git", "archive", "--output", str(archive), sha], cwd=ROOT,
                    check=True)
     with tarfile.open(archive) as tar:
-        tar.extractall(dest)
+        tar.extractall(dest, filter="data")
     archive.unlink()
 
 
