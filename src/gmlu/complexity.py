@@ -208,16 +208,27 @@ class FormulaSearch:
     Each candidate carries a pointwise signature, one int with t bits
     per profile: bit j of block i (bits i*t .. i*t+t-1) is set when
     type j's points of profile i satisfy it, so And and Or are one int
-    operation each.  The signature is a congruence for all connectives,
-    so keeping only the smallest formula per signature preserves
-    minimal sizes.  Formulas whose literals are all covered by a
-    modality additionally get a global signature (one bit per profile);
-    those are the candidates that can define or separate classes.
+    operation each, and their formulas are built only for new
+    signatures.  The signature is a congruence for all connectives, so
+    keeping only the smallest formula per signature preserves minimal
+    sizes.  Formulas whose literals are all covered by a modality
+    additionally get a global signature (one bit per profile); those
+    are the candidates that can define or separate classes.  A counting
+    modality's global signature is read from tables, one byte of the
+    pointwise signature at a time.
 
     Grade-0 threshold modalities are semantically constant, so they are
     seeded once as size-1 constants instead of being re-derived at
     every size.
     """
+
+    # whether cls(k, f) holds in a profile of n points, c of which satisfy f
+    _HOLDS = {
+        DiamondGeq: lambda c, n, k: c >= k,
+        BoxLt: lambda c, n, k: n - c < k,
+        DiamondEq: lambda c, n, k: c == k,
+        BoxNeq: lambda c, n, k: n - c != k,
+    }
 
     def __init__(self, vocab: Vocabulary, d: int, profiles: list[ModelProfile]):
         if d < 1:
@@ -228,7 +239,6 @@ class FormulaSearch:
         self.index = {p.counts: i for i, p in enumerate(self.profiles)}
         if len(self.index) != len(self.profiles):
             raise ValueError("profiles must be distinct")
-        self.sizes = [p.n for p in self.profiles]
         self.t = vocab.t
         self._full = (1 << self.t) - 1
         self._all_profiles_mask = (1 << len(self.profiles)) - 1
@@ -242,6 +252,16 @@ class FormulaSearch:
              for m in range(1 << self.t)]
             for p in self.profiles
         ]
+        # chunk c is `per` whole blocks (one byte while t <= 8) from bit
+        # shift, profile first; _modal_tables[cls, k][c][v] holds the global
+        # bits of cls(k, f) on those profiles when f's chunk c bits are v
+        per = max(1, 8 // self.t)
+        self._chunk_mask = (1 << per * self.t) - 1
+        self._chunks = [(i * self.t, i) for i in range(0, len(self.profiles), per)]
+        self._modal_tables = {
+            (cls, k): [self._chunk_table(holds, k, i, per) for _, i in self._chunks]
+            for cls, holds in self._HOLDS.items() for k in range(d + 1)
+        }
         # level s holds the signatures first reached at size s; searches are
         # shared and extend lazily
         self.inner_levels: list[dict] = [{}]
@@ -252,12 +272,15 @@ class FormulaSearch:
 
     # -- signature helpers ------------------------------------------------
 
-    def _point_counts(self, sig: int) -> list[int]:
-        full = self._full
-        return [
-            table[(sig >> sh) & full]
-            for sh, table in zip(self._shifts, self._point_tables)
-        ]
+    def _chunk_table(self, holds, k: int, first: int, per: int) -> bytes:
+        """Entry v has bit j set when the modality holds in profile
+        first+j for a formula whose types there are block j of v."""
+        table = [0]
+        for i in range(first, min(first + per, len(self.profiles))):
+            n = self.profiles[i].n
+            bit = [holds(c, n, k) << i - first for c in range(n + 1)]
+            table = [bit[c] | low for c in self._point_tables[i] for low in table]
+        return bytes(table)
 
     def _add_inner(self, sig: int, formula, level) -> None:
         if sig not in self._inner_seen:
@@ -281,6 +304,7 @@ class FormulaSearch:
         s = self.max_built + 1
         inner_new: dict = {}
         outer_new: dict = {}
+        inner_seen, outer_seen = self._inner_seen, self._outer_seen
         if s == 1:
             for sym in self.vocab.symbols:
                 for pos in (True, False):
@@ -298,34 +322,41 @@ class FormulaSearch:
                 break
             for sig1, f1 in self.inner_levels[s1].items():
                 for sig2, f2 in self.inner_levels[s2].items():
-                    self._add_inner(sig1 & sig2, And(f1, f2), inner_new)
-                    self._add_inner(sig1 | sig2, Or(f1, f2), inner_new)
+                    sig = sig1 & sig2
+                    if sig not in inner_seen:
+                        inner_seen.add(sig)
+                        inner_new[sig] = And(f1, f2)
+                    sig = sig1 | sig2
+                    if sig not in inner_seen:
+                        inner_seen.add(sig)
+                        inner_new[sig] = Or(f1, f2)
             for m1, f1 in self.outer_levels[s1].items():
                 for m2, f2 in self.outer_levels[s2].items():
-                    self._add_outer(m1 & m2, And(f1, f2), outer_new, inner_new)
-                    self._add_outer(m1 | m2, Or(f1, f2), outer_new, inner_new)
-        # modal atoms over smaller inner pieces
-        for k in range(1, min(self.d, s - 1) + 1):
-            for sig, f in self.inner_levels[s - k].items():
-                cnts = self._point_counts(sig)
-                geq = self._mask(c >= k for c in cnts)
-                lt = self._mask(self.sizes[i] - c < k for i, c in enumerate(cnts))
-                self._add_outer(geq, DiamondGeq(k, f), outer_new, inner_new)
-                self._add_outer(lt, BoxLt(k, f), outer_new, inner_new)
-        for k in range(0, min(self.d - 1, s - 2) + 1):
-            for sig, f in self.inner_levels[s - k - 1].items():
-                cnts = self._point_counts(sig)
-                eq = self._mask(c == k for c in cnts)
-                neq = self._mask(self.sizes[i] - c != k for i, c in enumerate(cnts))
-                self._add_outer(eq, DiamondEq(k, f), outer_new, inner_new)
-                self._add_outer(neq, BoxNeq(k, f), outer_new, inner_new)
+                    if m1 & m2 not in outer_seen:
+                        self._add_outer(m1 & m2, And(f1, f2), outer_new, inner_new)
+                    if m1 | m2 not in outer_seen:
+                        self._add_outer(m1 | m2, Or(f1, f2), outer_new, inner_new)
+        # modal atoms over smaller inner pieces: the threshold pair
+        # reads level s-k, the exact-count pair level s-k-1
+        modal = [(k, s - k, DiamondGeq, BoxLt) for k in range(1, min(self.d, s - 1) + 1)]
+        modal += [(k, s - k - 1, DiamondEq, BoxNeq) for k in range(min(self.d, s - 1))]
+        cm = self._chunk_mask
+        for k, s_inner, pos, neg in modal:
+            chunks = list(zip(self._chunks, self._modal_tables[pos, k],
+                              self._modal_tables[neg, k]))
+            for sig, f in self.inner_levels[s_inner].items():
+                pos_mask = neg_mask = 0
+                for (shift, first), pos_table, neg_table in chunks:
+                    v = sig >> shift & cm
+                    pos_mask |= pos_table[v] << first
+                    neg_mask |= neg_table[v] << first
+                if pos_mask not in outer_seen:
+                    self._add_outer(pos_mask, pos(k, f), outer_new, inner_new)
+                if neg_mask not in outer_seen:
+                    self._add_outer(neg_mask, neg(k, f), outer_new, inner_new)
         self.inner_levels.append(inner_new)
         self.outer_levels.append(outer_new)
         self.max_built = s
-
-    @staticmethod
-    def _mask(bits) -> int:
-        return sum(1 << i for i, b in enumerate(bits) if b)
 
     def first_outer_match(self, predicate, max_size: int):
         """Smallest (size, formula) whose global signature satisfies the

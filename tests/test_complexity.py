@@ -21,6 +21,7 @@ from gmlu.vocab import Vocabulary
 
 V1 = Vocabulary(("p",))
 V2 = Vocabulary(("p", "q"))
+V3 = Vocabulary(("p", "q", "r"))
 
 
 # -- canonical formulas and the closed-form bounds ----------------------------
@@ -227,6 +228,10 @@ def test_search_signatures_match_the_semantics():
     # formula in profile i; bit i of an outer mask is its global truth there
     grid = [(V1, n, d, 8) for n in range(1, 6) for d in range(1, min(n, 3) + 1)]
     grid += [(V2, n, d, 6) for n in (1, 2) for d in range(1, n + 1)]
+    # the modal step reads signatures a chunk of whole profile blocks at a
+    # time: one block per chunk at |tau|=3, and at |tau|=1, n=8 the nine
+    # profiles fill two chunks of four and start a third
+    grid += [(V3, 1, 1, 6), (V3, 2, 2, 5), (V1, 8, 4, 8)]
     for vocab, n, d, max_size in grid:
         profiles = list(enumerate_profiles(n, vocab))
         search = FormulaSearch(vocab, d, profiles)

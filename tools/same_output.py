@@ -17,7 +17,13 @@ are compared:
   game position under its four symmetries (swap the sides, swap p with
   !p, both, neither);
 - the n=5 game grid, ``verify game-theorem --tau p --n 5 --d 2 --max-r 5
-  --max-side 2`` under ``GMLU_GAME_MAX_N=5``.
+  --max-side 2`` under ``GMLU_GAME_MAX_N=5``;
+- exact search beyond the benchmark's n=12: ``complexity --tau p --n 14
+  --d 7 --exact`` and ``verify monotone --tau p --n 14 --d 7 --mode
+  exact`` under ``GMLU_EXACT_MAX_N=14 GMLU_EXACT_MAX_D=7``, ``complexity
+  --tau p,q --n 2 --d 2 --exact`` under ``GMLU_EXACT_MAX_SYMBOLS=2`` and
+  ``complexity --tau p,q,r --n 1 --d 1 --exact`` under
+  ``GMLU_EXACT_MAX_SYMBOLS=3``.
 
 Two commands run at a time.  It prints each command whose output
 differs and exits 1 if any does.
@@ -77,6 +83,17 @@ GRID_N5: Command = ((("GMLU_GAME_MAX_N", "5"),),
                     ("verify", "game-theorem", "--tau", "p", "--n", "5", "--d", "2",
                      "--max-r", "5", "--max-side", "2"))
 
+N14 = (("GMLU_EXACT_MAX_N", "14"), ("GMLU_EXACT_MAX_D", "7"))
+EXACT: list[Command] = [
+    (N14, ("complexity", "--tau", "p", "--n", "14", "--d", "7", "--exact")),
+    (N14, ("verify", "monotone", "--tau", "p", "--n", "14", "--d", "7",
+           "--mode", "exact")),
+    ((("GMLU_EXACT_MAX_SYMBOLS", "2"),),
+     ("complexity", "--tau", "p,q", "--n", "2", "--d", "2", "--exact")),
+    ((("GMLU_EXACT_MAX_SYMBOLS", "3"),),
+     ("complexity", "--tau", "p,q,r", "--n", "1", "--d", "1", "--exact")),
+]
+
 
 def run_command(root: Path, command: Command) -> tuple[int, str]:
     env = {k: v for k, v in os.environ.items() if not k.startswith("GMLU_")}
@@ -97,7 +114,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     commands = list(dict.fromkeys(
-        readme_commands() + workload_commands() + game_commands() + [GRID_N5]
+        readme_commands() + workload_commands() + game_commands() + [GRID_N5] + EXACT
     ))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
