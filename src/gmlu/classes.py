@@ -18,7 +18,7 @@ from .models import ModelProfile
 from .vocab import Vocabulary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissibleTuple:
     """An (n, d)-admissible tuple naming one equivalence class."""
 

@@ -2,8 +2,10 @@
 
 Output is deterministic for fixed inputs and seed: floats are printed
 with six significant digits, big integers as decimal strings, JSON keys
-sorted, and every report carries the canonical type order.  Exit codes:
-0 success, 2 usage error, 1 computation error (for example a scale cap).
+sorted, and every report carries the canonical type order.  Rows are
+written to stdout as they are formatted.  Exit codes: 0 success, 2 usage
+error, 1 computation error (for example a scale cap) or a report that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
-import json
 import math
+import os
 import sys
+from collections.abc import Iterable, Iterator
+from json import JSONEncoder
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import classes, combinatorics, complexity, distribution, game
 from .config import ScaleCapError, caps_from_env
@@ -32,7 +36,7 @@ def _ftext(x: float) -> str:
 
 
 def _tuple_text(entries) -> str:
-    return "|".join(str(e) for e in entries)
+    return "|".join(map(str, entries))
 
 
 def _parse_tuple(text: str, vocab: Vocabulary, n: int, d: int) -> classes.AdmissibleTuple:
@@ -114,15 +118,55 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_usage_error(message))
 
 
+_json_other = JSONEncoder().encode
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for string-keyed
+    values, nested ``depth`` levels deep, built as one string."""
+    if type(value) is str:
+        return _json_str(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, (dict, list, tuple)) and value:
+        pad = "\n" + "  " * depth
+        if isinstance(value, dict):
+            body = [f"{_json_str(k)}: {_json_text(v, depth + 1)}"
+                    for k, v in sorted(value.items())]
+            return "{" + pad + "  " + f",{pad}  ".join(body) + pad + "}"
+        body = [_json_text(v, depth + 1) for v in value]
+        return "[" + pad + "  " + f",{pad}  ".join(body) + pad + "]"
+    return _json_other(value)
+
+
+def _write_json(payload: dict, write) -> None:
+    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline,
+    list and iterator values one element at a time."""
+    sep = "{"
+    for key, value in sorted(payload.items()):
+        write(f"{sep}\n  {_json_str(key)}: ")
+        sep = ","
+        if isinstance(value, (list, tuple, Iterator)):
+            item_sep = "["
+            for item in value:
+                write(f"{item_sep}\n    {_json_text(item, 2)}")
+                item_sep = ","
+            write("[]" if item_sep == "[" else "\n  ]")
+        else:
+            write(_json_text(value, 1))
+    write("\n}\n")
+
+
 class _Report:
     """One report: header scalars plus an optional row table.
 
-    ``json_extra`` holds structured values that only make sense in JSON
-    (nested objects); CSV and text skip them.
+    ``rows`` may be any iterable of dicts; ``emit`` writes each row as it
+    is formatted.  ``json_extra`` holds structured values that only make
+    sense in JSON (nested objects); CSV and text skip them.
     """
 
     def __init__(self, command: str, vocab: Vocabulary | None, scalars: dict,
-                 columns: list[str] | None = None, rows: list[dict] | None = None,
+                 columns: list[str] | None = None, rows: Iterable[dict] | None = None,
                  json_extra: dict | None = None):
         self.command = command
         self.vocab = vocab
@@ -143,8 +187,7 @@ class _Report:
             payload.update(self.json_extra)
             if self.columns:
                 payload["rows"] = self.rows
-            json.dump(payload, out, sort_keys=True, indent=2)
-            out.write("\n")
+            _write_json(payload, out.write)
         elif fmt == "csv":
             writer = csv.writer(out, lineterminator="\n")
             if self.columns:
@@ -166,24 +209,26 @@ class _Report:
             if self.columns:
                 print("  ".join(self.columns), file=out)
                 for row in self.rows:
-                    print("  ".join(str(row[c]) for c in self.columns), file=out)
+                    out.write("  ".join([str(row[c]) for c in self.columns]) + "\n")
 
 
-def _class_rows(dist: distribution.ClassDistribution) -> tuple[list[str], list[dict]]:
-    columns = ["n", "d", "tuple", "size", "probability", "H_B_contrib"]
-    rows = []
-    for e in dist.entries:
-        rows.append(
-            {
-                "n": dist.n,
-                "d": dist.d,
-                "tuple": _tuple_text(e.tup.entries),
-                "size": str(e.size),
-                "probability": _ftext(float(e.probability)),
-                "H_B_contrib": _ftext(float(e.probability) * math.log2(e.size)),
-            }
-        )
-    return columns, rows
+_CLASS_COLUMNS = ["n", "d", "tuple", "size", "probability", "H_B_contrib"]
+
+
+def _class_rows(dist: distribution.ClassDistribution, entries) -> Iterator[dict]:
+    """One row per class entry; size / t^n is the correctly rounded float
+    of the entry's exact probability, computed once per row."""
+    denom = dist.vocab.t**dist.n
+    for e in entries:
+        p = e.size / denom
+        yield {
+            "n": dist.n,
+            "d": dist.d,
+            "tuple": _tuple_text(e.tup.entries),
+            "size": str(e.size),
+            "probability": _ftext(p),
+            "H_B_contrib": _ftext(p * math.log2(e.size)),
+        }
 
 
 def _cmd_tuples(args, vocab, caps) -> _Report:
@@ -193,28 +238,27 @@ def _cmd_tuples(args, vocab, caps) -> _Report:
         vocab,
         {"n": args.n, "d": args.d, "count": len(tuples)},
         ["tuple", "sum", "capped_entries"],
-        [
+        (
             {
                 "tuple": _tuple_text(t.entries),
                 "sum": sum(t.entries),
                 "capped_entries": t.k_d,
             }
             for t in tuples
-        ],
-        json_extra={"tuples": [t.to_json() for t in tuples]},
+        ),
+        json_extra={"tuples": (t.to_json() for t in tuples)},
     )
 
 
 def _cmd_class_size(args, vocab, caps) -> _Report:
     dist = distribution.build_distribution(args.n, args.d, vocab)
-    columns, rows = _class_rows(dist)
+    entries = dist.entries
     if args.tuple is not None:
         tup = _parse_tuple(args.tuple, vocab, args.n, args.d)
-        wanted = _tuple_text(tup.entries)
-        rows = [r for r in rows if r["tuple"] == wanted]
+        entries = [e for e in entries if e.tup == tup]
     return _Report(
-        "class-size", vocab, {"n": args.n, "d": args.d, "classes": len(rows)},
-        columns, rows,
+        "class-size", vocab, {"n": args.n, "d": args.d, "classes": len(entries)},
+        _CLASS_COLUMNS, _class_rows(dist, entries),
     )
 
 
@@ -222,7 +266,6 @@ def _cmd_entropy(args, vocab, caps) -> _Report:
     dist = distribution.build_distribution(args.n, args.d, vocab)
     h_s = distribution.shannon_entropy(dist)
     h_b = distribution.boltzmann_entropy(dist)
-    columns, rows = _class_rows(dist)
     return _Report(
         "entropy",
         vocab,
@@ -235,8 +278,8 @@ def _cmd_entropy(args, vocab, caps) -> _Report:
             "entropy_sum": _fnum(h_s + h_b),
             "identity_target": args.n * len(vocab.symbols),
         },
-        columns,
-        rows,
+        _CLASS_COLUMNS,
+        _class_rows(dist, dist.entries),
     )
 
 
@@ -632,9 +675,22 @@ def main(argv=None) -> int:
     except (ScaleCapError, FormulaError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = io.StringIO()
-    report.emit(args.format, out)
-    sys.stdout.write(out.getvalue())
+    if sys.stdout is None:  # started with its descriptor closed
+        print("error: cannot write the report: stdout is closed", file=sys.stderr)
+        return 1
+    try:
+        # rows come as many small writes, each a system call when stdout is
+        # unbuffered (PYTHONUNBUFFERED): let the text layer gather them
+        if hasattr(sys.stdout, "reconfigure"):
+            sys.stdout.reconfigure(write_through=False)
+        report.emit(args.format, sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # stdout is full or its reader has gone: send what is still buffered
+        # to os.devnull, so the flush at exit cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return 0
 
 

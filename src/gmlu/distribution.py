@@ -18,6 +18,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -33,7 +34,7 @@ from .models import ModelProfile
 from .vocab import Vocabulary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassEntry:
     tup: AdmissibleTuple
     size: int
@@ -55,6 +56,11 @@ class ClassDistribution:
 
     def size_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(e.size for e in self.entries))
+
+    @cached_property
+    def entropies(self) -> tuple[float, float]:
+        """Shannon and Boltzmann entropies, summed over the classes once."""
+        return _entropies(((1, e.size) for e in self.entries), self.vocab.t**self.n)
 
 
 def build_distribution(n: int, d: int, vocab: Vocabulary) -> ClassDistribution:
@@ -105,18 +111,14 @@ def _entropies(
     return math.fsum(shannon), math.fsum(boltzmann)
 
 
-def _class_entropies(dist: ClassDistribution) -> tuple[float, float]:
-    return _entropies(((1, e.size) for e in dist.entries), dist.vocab.t**dist.n)
-
-
 def boltzmann_entropy(dist: ClassDistribution) -> float:
     """Expected log2 class size over the distribution."""
-    return _class_entropies(dist)[1]
+    return dist.entropies[1]
 
 
 def shannon_entropy(dist: ClassDistribution) -> float:
     """Expected -log2 class probability over the distribution."""
-    return _class_entropies(dist)[0]
+    return dist.entropies[0]
 
 
 @dataclass(frozen=True)

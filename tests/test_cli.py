@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gmlu.cli import main
+from gmlu.cli import _json_text, _write_json, main
 
 
 def run(capsys, *argv):
@@ -62,6 +66,89 @@ def test_class_size_csv_schema(capsys):
         "3,1,1|0,1,0.125,0",
         "3,1,1|1,6,0.75,1.93872",
     ]
+
+
+def test_zero_row_report_prints_an_empty_list(capsys):
+    code, out = run(capsys, "cover", "--tau", "p", "--n", "1", "--d", "1",
+                    "--tuple", "1,0", "--format", "json")
+    assert code == 0
+    assert '\n  "rows": [],\n' in out
+    assert json.loads(out)["rows"] == []
+
+
+# JSON values as the reports hold them, and the corners of the format:
+# empty containers, non-ASCII text, big ints, bools, None, nan and inf.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers(min_value=-(10**40), max_value=10**40),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12,
+)
+_PAYLOADS = st.dictionaries(st.text(), _JSON_VALUES, min_size=1, max_size=4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_JSON_VALUES, _PAYLOADS)
+@example({"zb": [math.nan, math.inf, -math.inf, -0.0, 10**40, True, False, None],
+          "a\u00e9\u2603": ["\U0001f600\n\"", [], {}, ()]}, {"rows": []})
+def test_json_writer_prints_what_json_dumps_prints(value, payload):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+    out = io.StringIO()
+    _write_json(payload, out.write)
+    assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.dictionaries(st.text(), _JSON_VALUES, max_size=6), max_size=4),
+       _PAYLOADS)
+def test_json_writer_streams_generated_rows(rows, payload):
+    want = json.dumps({**payload, "rows": rows}, sort_keys=True, indent=2) + "\n"
+    out = io.StringIO()
+    _write_json({**payload, "rows": (row for row in rows)}, out.write)
+    assert out.getvalue() == want
+
+
+# A report of 552 KB, more than a pipe holds, so writing it to a reader
+# that has gone fails before the last row; and one of 103 bytes, which
+# fails only when stdout is flushed.
+_LARGE = ("tuples", "--tau", "p,q", "--n", "24", "--d", "10", "--format", "json")
+_SMALL = ("tuples", "--tau", "p", "--n", "3", "--d", "1")
+
+
+def _gmlu(argv, **popen) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    # stdout buffered, as by default, so bytes are still pending when a write fails
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "gmlu", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **popen)
+
+
+def _assert_one_write_error(proc: subprocess.Popen, reason: str) -> None:
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == f"error: cannot write the report: {reason}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [_LARGE, _SMALL])
+def test_full_stdout_is_one_error_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = _gmlu(argv, stdout=full)
+    with proc:
+        _assert_one_write_error(proc, "No space left on device")
+
+
+def test_closed_pipe_is_one_error_line():
+    with _gmlu(_LARGE, stdout=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _assert_one_write_error(proc, "Broken pipe")
+
+
+def test_closed_stdout_is_one_error_line():
+    with _gmlu(_SMALL, preexec_fn=lambda: os.close(1)) as proc:
+        _assert_one_write_error(proc, "stdout is closed")
 
 
 def test_output_is_byte_identical_across_runs(capsys):

@@ -23,7 +23,10 @@ are compared:
   exact`` under ``GMLU_EXACT_MAX_N=14 GMLU_EXACT_MAX_D=7``, ``complexity
   --tau p,q --n 2 --d 2 --exact`` under ``GMLU_EXACT_MAX_SYMBOLS=2`` and
   ``complexity --tau p,q,r --n 1 --d 1 --exact`` under
-  ``GMLU_EXACT_MAX_SYMBOLS=3``.
+  ``GMLU_EXACT_MAX_SYMBOLS=3``;
+- each row report in all three formats at small scale: ``tuples``,
+  ``class-size`` (also with ``--tuple``), ``entropy``, ``complexity``,
+  ``cover`` (also with no edge, so no row) and ``verify counting``.
 
 Two commands run at a time.  It prints each command whose output
 differs and exits 1 if any does.
@@ -95,6 +98,20 @@ EXACT: list[Command] = [
 ]
 
 
+ROW_REPORTS = [
+    ("tuples", "--tau", "p,q", "--n", "4", "--d", "2"),
+    ("class-size", "--tau", "p,q", "--n", "4", "--d", "2"),
+    ("class-size", "--tau", "p,q", "--n", "4", "--d", "2", "--tuple", "2,1,0,1"),
+    ("entropy", "--tau", "p,q", "--n", "4", "--d", "2"),
+    ("complexity", "--tau", "p", "--n", "4", "--d", "2"),
+    ("cover", "--tau", "p", "--n", "5", "--d", "2", "--tuple", "2,2"),
+    ("cover", "--tau", "p", "--n", "1", "--d", "1", "--tuple", "1,0"),
+    ("verify", "counting", "--tau", "p,q", "--max-n", "6"),
+]
+ROWS: list[Command] = [((), (*argv, "--format", fmt))
+                       for argv in ROW_REPORTS for fmt in ("json", "csv", "text")]
+
+
 def run_command(root: Path, command: Command) -> tuple[int, str]:
     env = {k: v for k, v in os.environ.items() if not k.startswith("GMLU_")}
     env["PYTHONPATH"] = str(root / "src")
@@ -115,6 +132,7 @@ def main(argv=None) -> int:
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     commands = list(dict.fromkeys(
         readme_commands() + workload_commands() + game_commands() + [GRID_N5] + EXACT
+        + ROWS
     ))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
