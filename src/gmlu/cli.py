@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from . import classes, combinatorics, complexity, distribution, game
 from .config import ScaleCapError, caps_from_env
-from .formulas import FormulaError, counting_depth, counting_depth_shallow
+from .formulas import FormulaError, counting_depth
 from .models import ModelProfile, PointedProfile
 from .vocab import Vocabulary
 
@@ -314,8 +314,8 @@ def _complexity_row(tup, vocab, want_exact, max_size, caps) -> dict:
         "closed_form": ub.closed_form,
         "closed_form_matches": ub.matches,
         "bound_variant": ub.variant,
-        "depth": counting_depth(ub.formula),
-        "depth_shallow": counting_depth_shallow(ub.formula),
+        "depth": (depth := counting_depth(ub.formula)),
+        "depth_shallow": depth,
         "exact": "",
     }
     if want_exact:

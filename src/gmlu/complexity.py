@@ -17,9 +17,9 @@ from itertools import combinations
 from .classes import AdmissibleTuple, tuple_of_profile
 from .config import DEFAULT_CAPS, SearchCaps, check_cap
 from .formulas import (
+    MODAL_TYPES,
     And,
     BoxLt,
-    BoxNeq,
     DiamondEq,
     DiamondGeq,
     Formula,
@@ -32,20 +32,16 @@ from .models import ModelProfile, enumerate_profiles
 from .vocab import Vocabulary
 
 
-def type_formula(vocab: Vocabulary, type_index: int) -> Formula:
-    """Conjunction of the literals of one propositional type."""
-    lits = [Lit(sym, pos) for sym, pos in vocab.type_literals(type_index)]
-    out = lits[0]
-    for lit in lits[1:]:
-        out = And(out, lit)
-    return out
-
-
 def _conjunction(parts: list[Formula]) -> Formula:
     out = parts[0]
     for p in parts[1:]:
         out = And(out, p)
     return out
+
+
+def type_formula(vocab: Vocabulary, type_index: int) -> Formula:
+    """Conjunction of the literals of one propositional type."""
+    return _conjunction([Lit(sym, pos) for sym, pos in vocab.type_literals(type_index)])
 
 
 def canonical_formula(tup: AdmissibleTuple, vocab: Vocabulary) -> Formula:
@@ -222,14 +218,6 @@ class FormulaSearch:
     every size.
     """
 
-    # whether cls(k, f) holds in a profile of n points, c of which satisfy f
-    _HOLDS = {
-        DiamondGeq: lambda c, n, k: c >= k,
-        BoxLt: lambda c, n, k: n - c < k,
-        DiamondEq: lambda c, n, k: c == k,
-        BoxNeq: lambda c, n, k: n - c != k,
-    }
-
     def __init__(self, vocab: Vocabulary, d: int, profiles: list[ModelProfile]):
         if d < 1:
             raise ValueError("counting depth must be at least 1")
@@ -259,8 +247,8 @@ class FormulaSearch:
         self._chunk_mask = (1 << per * self.t) - 1
         self._chunks = [(i * self.t, i) for i in range(0, len(self.profiles), per)]
         self._modal_tables = {
-            (cls, k): [self._chunk_table(holds, k, i, per) for _, i in self._chunks]
-            for cls, holds in self._HOLDS.items() for k in range(d + 1)
+            (cls, k): [self._chunk_table(cls.holds, k, i, per) for _, i in self._chunks]
+            for cls in MODAL_TYPES for k in range(d + 1)
         }
         # level s holds the signatures first reached at size s; searches are
         # shared and extend lazily
@@ -336,10 +324,11 @@ class FormulaSearch:
                         self._add_outer(m1 & m2, And(f1, f2), outer_new, inner_new)
                     if m1 | m2 not in outer_seen:
                         self._add_outer(m1 | m2, Or(f1, f2), outer_new, inner_new)
-        # modal atoms over smaller inner pieces: the threshold pair
-        # reads level s-k, the exact-count pair level s-k-1
-        modal = [(k, s - k, DiamondGeq, BoxLt) for k in range(1, min(self.d, s - 1) + 1)]
-        modal += [(k, s - k - 1, DiamondEq, BoxNeq) for k in range(min(self.d, s - 1))]
+        # modal atoms over smaller inner pieces: a modality of counting
+        # depth k + exact reads level s - k - exact
+        depths = range(1, min(self.d, s - 1) + 1)
+        modal = [(depth - dia.exact, s - depth, dia, dia.dual)
+                 for dia in (DiamondGeq, DiamondEq) for depth in depths]
         cm = self._chunk_mask
         for k, s_inner, pos, neg in modal:
             chunks = list(zip(self._chunks, self._modal_tables[pos, k],

@@ -38,7 +38,10 @@ from .vocab import Vocabulary
 class ClassEntry:
     tup: AdmissibleTuple
     size: int
-    probability: Fraction
+
+    @property
+    def probability(self) -> Fraction:
+        return Fraction(self.size, self.tup.t**self.tup.n)
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ def build_distribution(n: int, d: int, vocab: Vocabulary) -> ClassDistribution:
     for tup in enumerate_admissible(n, d, vocab):
         sz = class_size(tup)
         total += sz
-        entries.append(ClassEntry(tup, sz, Fraction(sz, denom)))
+        entries.append(ClassEntry(tup, sz))
     if total != denom:
         raise AssertionError(
             f"class sizes sum to {total}, expected {denom}; counting bug"

@@ -15,11 +15,19 @@ Modalities bind tighter than the boolean connectives and apply to the
 formula immediately following them.  Whitespace is ignored.  A literal
 is only legal somewhere inside a modality; a formula with a bare
 top-level literal is rejected.
+
+Each kind is defined once, on its class: a :class:`Binary` connective
+carries its ``token`` and NNF ``dual``; a :class:`Modal` kind also
+carries ``exact`` (what an exact count adds to size and depth) and
+``holds``, its truth condition.  The parser, printer, size, depth and
+negation here, evaluation in ``models``, the search tables in
+``complexity`` and the counting moves in ``game`` all read these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 from .vocab import Vocabulary
 
@@ -58,49 +66,72 @@ class Lit(Formula):
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class Binary(Formula):
+    """A boolean connective.  ``token`` is its syntax and ``dual`` the
+    connective that NNF negation turns it into."""
+
+    token: ClassVar[str]
+    dual: ClassVar[type[Binary]]
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(Binary):
+    token = "&"
+
+
+class Or(Binary):
+    token = "|"
+
+
+And.dual, Or.dual = Or, And
 
 
 @dataclass(frozen=True)
-class DiamondGeq(Formula):
+class Modal(Formula):
+    """A counting modality over all points.  ``holds(c, n, k)`` is its
+    truth condition at grade k when c of the n points satisfy ``sub``;
+    ``exact`` (0 or 1) is what an exact count adds to size and depth;
+    ``dual`` is the kind NNF negation turns it into, at the same grade."""
+
+    token: ClassVar[str]
+    dual: ClassVar[type[Modal]]
+    exact: ClassVar[int]
+    holds: ClassVar[Callable[[int, int, int], bool]]
+    grade: int
+    sub: Formula
+
+
+class DiamondGeq(Modal):
     """At least ``grade`` points satisfy ``sub``."""
 
-    grade: int
-    sub: Formula
+    token, exact = "<>=", 0
+    holds = staticmethod(lambda c, n, k: c >= k)
 
 
-@dataclass(frozen=True)
-class BoxLt(Formula):
+class BoxLt(Modal):
     """All points satisfy ``sub``, except fewer than ``grade`` of them."""
 
-    grade: int
-    sub: Formula
+    token, exact = "[]<", 0
+    holds = staticmethod(lambda c, n, k: n - c < k)
 
 
-@dataclass(frozen=True)
-class DiamondEq(Formula):
+class DiamondEq(Modal):
     """Exactly ``grade`` points satisfy ``sub``."""
 
-    grade: int
-    sub: Formula
+    token, exact = "<>==", 1
+    holds = staticmethod(lambda c, n, k: c == k)
 
 
-@dataclass(frozen=True)
-class BoxNeq(Formula):
+class BoxNeq(Modal):
     """All points satisfy ``sub``, except some number != ``grade`` of them."""
 
-    grade: int
-    sub: Formula
+    token, exact = "[]!=", 1
+    holds = staticmethod(lambda c, n, k: n - c != k)
 
 
+DiamondGeq.dual, BoxLt.dual = BoxLt, DiamondGeq
+DiamondEq.dual, BoxNeq.dual = BoxNeq, DiamondEq
 MODAL_TYPES = (DiamondGeq, BoxLt, DiamondEq, BoxNeq)
 
 
@@ -108,18 +139,10 @@ def negate(f: Formula) -> Formula:
     """Semantic complement with negation pushed to the literals."""
     if isinstance(f, Lit):
         return Lit(f.symbol, not f.positive)
-    if isinstance(f, And):
-        return Or(negate(f.left), negate(f.right))
-    if isinstance(f, Or):
-        return And(negate(f.left), negate(f.right))
-    if isinstance(f, DiamondGeq):
-        return BoxLt(f.grade, negate(f.sub))
-    if isinstance(f, BoxLt):
-        return DiamondGeq(f.grade, negate(f.sub))
-    if isinstance(f, DiamondEq):
-        return BoxNeq(f.grade, negate(f.sub))
-    if isinstance(f, BoxNeq):
-        return DiamondEq(f.grade, negate(f.sub))
+    if isinstance(f, Binary):
+        return f.dual(negate(f.left), negate(f.right))
+    if isinstance(f, Modal):
+        return f.dual(f.grade, negate(f.sub))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -128,12 +151,10 @@ def size(f: Formula) -> int:
     (exact-count modalities one more)."""
     if isinstance(f, Lit):
         return 1
-    if isinstance(f, (And, Or)):
+    if isinstance(f, Binary):
         return size(f.left) + size(f.right) + 1
-    if isinstance(f, (DiamondGeq, BoxLt)):
-        return size(f.sub) + f.grade
-    if isinstance(f, (DiamondEq, BoxNeq)):
-        return size(f.sub) + f.grade + 1
+    if isinstance(f, Modal):
+        return size(f.sub) + f.grade + f.exact
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -146,27 +167,10 @@ def counting_depth(f: Formula) -> int:
     """
     if isinstance(f, Lit):
         return 0
-    if isinstance(f, (And, Or)):
+    if isinstance(f, Binary):
         return max(counting_depth(f.left), counting_depth(f.right))
-    if isinstance(f, (DiamondGeq, BoxLt)):
-        return max(f.grade, counting_depth(f.sub))
-    if isinstance(f, (DiamondEq, BoxNeq)):
-        return max(f.grade + 1, counting_depth(f.sub))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def counting_depth_shallow(f: Formula) -> int:
-    """Counting depth with the clauses read verbatim: a modality's depth is
-    determined by its own grade only, discarding the subformula's depth.
-    Kept for debug output; :func:`counting_depth` is authoritative."""
-    if isinstance(f, Lit):
-        return 0
-    if isinstance(f, (And, Or)):
-        return max(counting_depth_shallow(f.left), counting_depth_shallow(f.right))
-    if isinstance(f, (DiamondGeq, BoxLt)):
-        return f.grade
-    if isinstance(f, (DiamondEq, BoxNeq)):
-        return f.grade + 1
+    if isinstance(f, Modal):
+        return max(f.grade + f.exact, counting_depth(f.sub))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -177,36 +181,38 @@ def is_sentence(f: Formula) -> bool:
     def covered(g: Formula, under_modal: bool) -> bool:
         if isinstance(g, Lit):
             return under_modal
-        if isinstance(g, (And, Or)):
+        if isinstance(g, Binary):
             return covered(g.left, under_modal) and covered(g.right, under_modal)
         return covered(g.sub, True)
 
     return covered(f, False)
 
 
-_MODAL_TOKENS = {DiamondGeq: "<>=", BoxLt: "[]<", DiamondEq: "<>==", BoxNeq: "[]!="}
-
-
 def format_formula(f: Formula) -> str:
     """Concrete syntax; parses back to the identical AST."""
     if isinstance(f, Lit):
         return f.symbol if f.positive else "!" + f.symbol
-    if isinstance(f, (And, Or)):
-        op = "&" if isinstance(f, And) else "|"
+    if isinstance(f, Binary):
         left = format_formula(f.left)
         right = format_formula(f.right)
         # keep re-parse structure-exact: wrap binaries that would re-associate
         if isinstance(f, And) and isinstance(f.left, Or):
             left = f"({left})"
-        if isinstance(f.right, (And, Or)):
+        if isinstance(f.right, Binary):
             right = f"({right})"
-        return f"{left} {op} {right}"
-    if isinstance(f, MODAL_TYPES):
+        return f"{left} {f.token} {right}"
+    if isinstance(f, Modal):
         sub = format_formula(f.sub)
-        if isinstance(f.sub, (And, Or)):
+        if isinstance(f.sub, Binary):
             sub = f"({sub})"
-        return f"{_MODAL_TOKENS[type(f)]}{f.grade} {sub}"
+        return f"{f.token}{f.grade} {sub}"
     raise TypeError(f"not a formula: {f!r}")
+
+
+_MODAL_CLASSES = {cls.token: cls for cls in MODAL_TYPES}
+# the binary connectives from the loosest binding to the tightest
+_BINARY_LEVELS = (Or, And)
+_BINARY_TOKENS = {op.token for op in _BINARY_LEVELS}
 
 
 class _Tokenizer:
@@ -239,26 +245,19 @@ class _Tokenizer:
                 self.pos += 1
                 continue
             start = self.pos
-            if ch in "()&|!":
+            if ch in "()!" or ch in _BINARY_TOKENS:
                 self.pos += 1
                 yield ch, None, start
-            elif ch == "<":
-                if not text.startswith("<>=", self.pos):
-                    self.error("expected <>= or <>==")
-                self.pos += 3
-                exact = self.pos < len(text) and text[self.pos] == "="
-                if exact:
-                    self.pos += 1
-                yield ("<>==" if exact else "<>="), self._grade(), start
-            elif ch == "[":
-                if text.startswith("[]<", self.pos):
-                    self.pos += 3
-                    yield "[]<", self._grade(), start
-                elif text.startswith("[]!=", self.pos):
-                    self.pos += 4
-                    yield "[]!=", self._grade(), start
+            elif ch in "<[":
+                # longest first, so that "<>==" is not read as "<>=" "="
+                tokens = sorted((k for k in _MODAL_CLASSES if k[0] == ch), key=len)
+                for tok in reversed(tokens):
+                    if text.startswith(tok, start):
+                        self.pos += len(tok)
+                        yield tok, self._grade(), start
+                        break
                 else:
-                    self.error("expected []< or []!=")
+                    self.error(f"expected {' or '.join(tokens)}")
             elif ch.isalpha() or ch == "_":
                 while self.pos < len(text) and (
                     text[self.pos].isalnum() or text[self.pos] == "_"
@@ -268,9 +267,6 @@ class _Tokenizer:
             else:
                 self.error(f"unexpected character {ch!r}")
         yield "end", None, self.pos
-
-
-_MODAL_CLASSES = {"<>=": DiamondGeq, "[]<": BoxLt, "<>==": DiamondEq, "[]!=": BoxNeq}
 
 
 class _Parser:
@@ -288,30 +284,27 @@ class _Parser:
         return tok
 
     def parse(self) -> Formula:
-        f = self.parse_or()
+        f = self.parse_binary()
         kind, _, pos = self.peek()
         if kind != "end":
             raise FormulaSyntaxError(f"unexpected {kind!r}", pos)
         return f
 
-    def parse_or(self) -> Formula:
-        f = self.parse_and()
-        while self.peek()[0] == "|":
+    def parse_binary(self, level: int = 0) -> Formula:
+        """Connectives from ``_BINARY_LEVELS[level]`` on, each left-associative."""
+        if level == len(_BINARY_LEVELS):
+            return self.parse_unary()
+        op = _BINARY_LEVELS[level]
+        f = self.parse_binary(level + 1)
+        while self.peek()[0] == op.token:
             self.take()
-            f = Or(f, self.parse_and())
-        return f
-
-    def parse_and(self) -> Formula:
-        f = self.parse_unary()
-        while self.peek()[0] == "&":
-            self.take()
-            f = And(f, self.parse_unary())
+            f = op(f, self.parse_binary(level + 1))
         return f
 
     def parse_unary(self) -> Formula:
         kind, value, pos = self.take()
         if kind == "(":
-            f = self.parse_or()
+            f = self.parse_binary()
             k2, _, p2 = self.take()
             if k2 != ")":
                 raise FormulaSyntaxError("expected )", p2)

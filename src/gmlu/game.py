@@ -24,8 +24,8 @@ from itertools import combinations
 
 from .complexity import minimal_separating_size
 from .config import DEFAULT_CAPS, SearchCaps, check_cap
-from .formulas import DiamondGeq, Formula, Lit, format_formula
-from .models import PointedProfile, pointed_profiles
+from .formulas import DiamondEq, DiamondGeq, Formula, Lit, format_formula
+from .models import PointedProfile, bounded_compositions, pointed_profiles
 from .vocab import Vocabulary
 
 S_WINS = "S"
@@ -94,7 +94,9 @@ class CountMove(GameMove):
 
 # NNF negation swaps each box or and-move with its diamond or or-move at
 # equal size, so a dual move is that move played on the swapped position.
-_DUAL = {"[]<": "<>=", "[]!=": "<>==", "and-split": "or-split"}
+_DIAMONDS = {dia.token: dia for dia in (DiamondGeq, DiamondEq)}
+_DUAL = {"and-split": "or-split"}
+_DUAL |= {dia.dual.token: dia.token for dia in _DIAMONDS.values()}
 
 
 def _dual(move: SplitMove | CountMove) -> SplitMove | CountMove:
@@ -120,24 +122,6 @@ class MoveOutcome:
     positions: tuple[GamePosition, ...] = ()
 
 
-def _subvectors(counts: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
-    """All type-count vectors v <= counts with sum(v) = total."""
-    if total < 0 or total > sum(counts):
-        return []
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, left: int, acc: list[int]):
-        if i == len(counts) - 1:
-            if left <= counts[i]:
-                out.append(tuple(acc + [left]))
-            return
-        for v in range(min(counts[i], left) + 1):
-            rec(i + 1, left - v, acc + [v])
-
-    rec(0, total, [])
-    return out
-
-
 def _touched(pm: PointedProfile, vec: tuple[int, ...]):
     for i, v in enumerate(vec):
         if v > 0:
@@ -157,10 +141,10 @@ def _selection_products(models, size: int, n_size: int | None = None) -> list[tu
     ``n_size``, a labelled ("P", size) or ("N", n_size) one."""
     assignments: list[tuple] = [()]
     for pm in _sorted_models(models):
-        opts = _subvectors(pm.profile.counts, size)
+        opts = list(bounded_compositions(pm.profile.counts, size))
         if n_size is not None:
             opts = [("P", v) for v in opts]
-            opts += [("N", v) for v in _subvectors(pm.profile.counts, n_size)]
+            opts += [("N", v) for v in bounded_compositions(pm.profile.counts, n_size)]
         if not opts:
             return []
         assignments = [a + ((pm, o),) for a in assignments for o in opts]
@@ -190,11 +174,10 @@ def legal_moves(pos: GamePosition, d: int, vocab: Vocabulary) -> list[GameMove]:
     # At grade k a diamond move picks k points on the left and the other
     # sets on the right (n-k+1 points, or labelled k+1 / n-k+1 sets); its
     # dual box picks them the other way round.
-    for (dia, box), top, exact in (
-        (("<>=", "[]<"), d, False), (("<>==", "[]!="), d - 1, True)
-    ):
-        for k in range(0, min(top, r - 1) + 1):
-            other = (k + 1, n - k + 1) if exact else (n - k + 1,)
+    for kind in _DIAMONDS.values():
+        dia, box = kind.token, kind.dual.token
+        for k in range(0, min(d - kind.exact, r - 1) + 1):
+            other = (k + 1, n - k + 1) if kind.exact else (n - k + 1,)
             picks = [_selection_products(side, k) for side in (pos.left, pos.right)]
             rest = [_selection_products(side, *other) for side in (pos.left, pos.right)]
             moves += [CountMove(dia, k, sl, sr) for sl in picks[0] for sr in rest[1]]
@@ -259,12 +242,12 @@ def _play(pos: GamePosition, move: GameMove) -> tuple[GamePosition, ...]:
             GamePosition(move.r1, move.part1, pos.right, pos.modal_move_made),
             GamePosition(move.r2, move.part2, pos.right, pos.modal_move_made),
         )
-    if not (isinstance(move, CountMove) and move.kind in ("<>=", "<>==")):
+    if not (isinstance(move, CountMove) and move.kind in _DIAMONDS):
         raise TypeError(f"not a game move: {move!r}")
     k = move.grade
     if k >= r:
         raise ValueError(f"grade {k} needs resource above {r}")
-    exact = move.kind == "<>=="
+    exact = _DIAMONDS[move.kind].exact
     other = (k + 1, n - k + 1) if exact else (n - k + 1,)
     _check_selection(move.left_selections, pos.left, k)
     _check_selection(move.right_selections, pos.right, *other)
@@ -280,7 +263,7 @@ def _play(pos: GamePosition, move: GameMove) -> tuple[GamePosition, ...]:
             (new_left if label == "P" else new_right).update(_touched(pm, vec))
         else:
             new_right.update(_touched(pm, choice))
-    budget = r - k - 1 if exact else r - k
+    budget = r - k - exact
     return (GamePosition(budget, frozenset(new_left), frozenset(new_right), True),)
 
 
@@ -403,7 +386,8 @@ class _Solver:
             self._sel_cache[key] = (
                 tuple(x << shift for x in self._sel_masks(counts, m)) if shift
                 else self._minimal(
-                    self._vec_mask(counts, vec) for vec in _subvectors(counts, m)
+                    self._vec_mask(counts, vec)
+                    for vec in bounded_compositions(counts, m)
                 )
             )
         return self._sel_cache[key]
@@ -416,7 +400,7 @@ class _Solver:
             self._pair_cache[key] = self._minimal(
                 self._vec_mask(counts, vec)
                 | self._vec_mask(counts, _complement(counts, vec)) << self._width
-                for vec in _subvectors(counts, k)
+                for vec in bounded_compositions(counts, k)
             )
         return self._pair_cache[key]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .formulas import And, BoxLt, BoxNeq, DiamondEq, DiamondGeq, Formula, Lit, Or
+from .formulas import And, Formula, Lit, Or
 from .vocab import Vocabulary
 
 
@@ -85,17 +85,7 @@ def sat_types(f: Formula, profile: ModelProfile, vocab: Vocabulary) -> frozenset
         if isinstance(g, Or):
             return rec(g.left) | rec(g.right)
         count = sum(profile.counts[i] for i in rec(g.sub))
-        if isinstance(g, DiamondGeq):
-            holds = count >= g.grade
-        elif isinstance(g, BoxLt):
-            holds = profile.n - count < g.grade
-        elif isinstance(g, DiamondEq):
-            holds = count == g.grade
-        elif isinstance(g, BoxNeq):
-            holds = profile.n - count != g.grade
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        return all_types if holds else frozenset()
+        return all_types if g.holds(count, profile.n, g.grade) else frozenset()
 
     return rec(f)
 
@@ -116,18 +106,23 @@ def evaluate_pointed(pm: PointedProfile, f: Formula, vocab: Vocabulary) -> bool:
     return pm.point_type in sat_types(f, pm.profile, vocab)
 
 
+def bounded_compositions(
+    bounds: tuple[int, ...], total: int
+) -> Iterator[tuple[int, ...]]:
+    """All vectors v <= bounds (entrywise) with sum(v) = total, in
+    lexicographic order."""
+    if len(bounds) == 1:
+        if 0 <= total <= bounds[0]:
+            yield (total,)
+        return
+    for c in range(min(bounds[0], total) + 1):
+        for rest in bounded_compositions(bounds[1:], total - c):
+            yield (c,) + rest
+
+
 def enumerate_profiles(n: int, vocab: Vocabulary) -> Iterator[ModelProfile]:
     """All size-n profiles over the vocabulary, in lexicographic count order."""
-    t = vocab.t
-
-    def rec(prefix: tuple[int, ...], remaining: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == t - 1:
-            yield prefix + (remaining,)
-            return
-        for c in range(remaining + 1):
-            yield from rec(prefix + (c,), remaining - c)
-
-    for counts in rec((), n):
+    for counts in bounded_compositions((n,) * vocab.t, n):
         yield ModelProfile(counts)
 
 

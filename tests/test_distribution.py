@@ -72,7 +72,7 @@ def test_entropy_worked_example():
 
 def test_single_class_degenerate_entropies():
     dist = ClassDistribution(
-        3, 3, V1, (ClassEntry(AdmissibleTuple((3, 0), 3, 3), 8, Fraction(1)),)
+        3, 3, V1, (ClassEntry(AdmissibleTuple((3, 0), 3, 3), 8),)
     )
     assert shannon_entropy(dist) == 0.0
     assert boltzmann_entropy(dist) == 3.0  # log2 of t^n

@@ -13,7 +13,6 @@ from gmlu.formulas import (
     Or,
     UnknownSymbolError,
     counting_depth,
-    counting_depth_shallow,
     format_formula,
     is_sentence,
     negate,
@@ -89,13 +88,11 @@ def test_counting_depth_clauses():
     assert counting_depth(parse_formula("<>==2 p", V1)) == 3
     nested = parse_formula("<>=1 <>=4 p", V1)
     assert counting_depth(nested) == 4
-    assert counting_depth_shallow(nested) == 1
 
 
 def test_depth_of_booleans_is_max():
     f = parse_formula("<>=2 p & <>==2 p", V1)
     assert counting_depth(f) == 3
-    assert counting_depth_shallow(f) == 3
 
 
 # -- negation ----------------------------------------------------------------

@@ -1,11 +1,27 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmlu.formulas import negate, parse_formula
+from gmlu.formulas import (
+    And,
+    BoxLt,
+    BoxNeq,
+    DiamondEq,
+    DiamondGeq,
+    Lit,
+    Or,
+    counting_depth,
+    format_formula,
+    negate,
+    parse_formula,
+    size,
+)
 from gmlu.models import (
     ModelProfile,
     PointedProfile,
     VocabularyMismatchError,
+    bounded_compositions,
     count_satisfying,
     enumerate_profiles,
     evaluate,
@@ -63,6 +79,59 @@ def test_profile_validation():
 def test_enumerate_profiles_counts():
     assert sum(1 for _ in enumerate_profiles(5, V1)) == 6
     assert sum(1 for _ in enumerate_profiles(4, V2)) == 35  # C(4+3, 3)
+
+
+def test_bounded_compositions_match_a_filtered_product():
+    for bounds in ((0,), (3,), (2, 0, 1), (1, 3), (2, 2, 2, 1)):
+        for total in range(-1, sum(bounds) + 2):
+            expected = [
+                v for v in product(*(range(b + 1) for b in bounds)) if sum(v) == total
+            ]
+            assert list(bounded_compositions(bounds, total)) == expected
+    assert [p.counts for p in enumerate_profiles(3, V2)] == list(
+        bounded_compositions((3, 3, 3, 3), 3)
+    )
+
+
+# Written out by hand, independently of the classes' own attributes: each
+# kind's syntax and what an exact count adds to its grade in size and depth.
+_KINDS = {
+    DiamondGeq: ("<>=", 0), BoxLt: ("[]<", 0), DiamondEq: ("<>==", 1), BoxNeq: ("[]!=", 1)
+}
+# subformulas with their hand-counted size and counting depth
+_SUBS = {
+    V1: [(Lit("p"), "p", 1, 0), (Lit("p", False), "!p", 1, 0)],
+    V2: [
+        (And(Lit("p"), Lit("q", False)), "(p & !q)", 3, 0),
+        (Or(Lit("p", False), Lit("q")), "(!p | q)", 3, 0),
+        (DiamondGeq(2, Lit("q")), "<>=2 q", 3, 2),
+    ],
+}
+
+
+@pytest.mark.parametrize("vocab, max_n", [(V1, 4), (V2, 3)])
+def test_every_modality_at_its_boundary_grades(vocab, max_n):
+    """Each kind at grades 0..n+1, on every labeled model of size n."""
+    for n in range(1, max_n + 1):
+        models = [
+            (assignment, ModelProfile(counts_of(assignment, vocab.t)))
+            for assignment in labeled_models(n, vocab.t)
+        ]
+        for kind, (token, extra) in _KINDS.items():
+            for sub, sub_text, sub_size, sub_depth in _SUBS[vocab]:
+                for k in range(n + 2):
+                    f = kind(k, sub)
+                    assert size(f) == k + extra + sub_size
+                    assert counting_depth(f) == max(k + extra, sub_depth)
+                    text = format_formula(f)
+                    assert text == f"{token}{k} {sub_text}"
+                    assert parse_formula(text, vocab) == f
+                    g = negate(f)
+                    for assignment, profile in models:
+                        value = eval_labeled_global(f, assignment, vocab)
+                        assert evaluate(profile, f, vocab) == value
+                        assert eval_labeled_global(g, assignment, vocab) == (not value)
+                        assert evaluate(profile, g, vocab) == (not value)
 
 
 @settings(max_examples=60, deadline=None)
