@@ -10,7 +10,6 @@ and equivalence classes correspond one to one.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .combinatorics import multinomial, stirling_r_assoc
@@ -125,12 +124,18 @@ def enumerate_orbits(
     Permuting a tuple's entries keeps it admissible and keeps its class
     size, so reductions over all classes can run over orbits.  Each
     representative has non-increasing entries and comes with its number
-    of distinct permutations, t! / prod(multiplicity of each value)!.
+    of distinct permutations, t! / prod(multiplicity of each value)!,
+    divided out along each run of equal entries.
     """
-    return [
-        (AdmissibleTuple(e, n, d), multinomial(vocab.t, list(Counter(e).values())))
-        for e in _admissible_entries(n, d, vocab.t, True)
-    ]
+    out = []
+    t_factorial = math.factorial(vocab.t)
+    for e in _admissible_entries(n, d, vocab.t, True):
+        weight, run = t_factorial, 1
+        for a, b in zip(e, e[1:]):
+            run = run + 1 if a == b else 1
+            weight //= run
+        out.append((AdmissibleTuple(e, n, d), weight))
+    return out
 
 
 def class_size(tup: AdmissibleTuple) -> int:

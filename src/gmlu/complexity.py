@@ -242,13 +242,14 @@ class FormulaSearch:
         ]
         # chunk c is `per` whole blocks (one byte while t <= 8) from bit
         # shift, profile first; _modal_tables[cls, k][c][v] holds the global
-        # bits of cls(k, f) on those profiles when f's chunk c bits are v
+        # bits of cls(k, f) on those profiles when f's chunk c bits are v, for
+        # the grades _build_next reads (counting depth k + exact in 1..d)
         per = max(1, 8 // self.t)
         self._chunk_mask = (1 << per * self.t) - 1
         self._chunks = [(i * self.t, i) for i in range(0, len(self.profiles), per)]
         self._modal_tables = {
             (cls, k): [self._chunk_table(cls.holds, k, i, per) for _, i in self._chunks]
-            for cls in MODAL_TYPES for k in range(d + 1)
+            for cls in MODAL_TYPES for k in range(1 - cls.exact, d + 1 - cls.exact)
         }
         # level s holds the signatures first reached at size s; searches are
         # shared and extend lazily

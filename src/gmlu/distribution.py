@@ -239,6 +239,29 @@ def majority_report(n: int, d: int, vocab: Vocabulary) -> MajorityReport:
     )
 
 
+# For t = 2^k <= 256, floor(random() * t) is the top k bits of the first of the
+# two 32-bit Mersenne Twister words random() consumes; getrandbits(64 * m) takes
+# the same 2m words, lowest first, so that word's top byte is byte 3 of 8.
+_TOP_BITS = {1 << k: bytes(b >> (8 - k) for b in range(256)) for k in range(1, 9)}
+_BLOCK = 1 << 16  # points per getrandbits call, so memory stays fixed in n
+
+
+def _draw_counts(rng: random.Random, n: int, t: int) -> list[int]:
+    """Per-type point counts of one uniform model on n points: the draws of
+    rng.choices(range(t), k=n), leaving rng in the same state."""
+    table = _TOP_BITS.get(t)
+    if table is None:
+        counts = Counter(rng.choices(range(t), k=n))
+        return [counts[i] for i in range(t)]
+    counts = [0] * t
+    for start in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - start)
+        types = rng.getrandbits(64 * m).to_bytes(8 * m, "little")[3::8].translate(table)
+        for i in range(t):
+            counts[i] += types.count(i)
+    return counts
+
+
 def sample_profiles(
     n: int, vocab: Vocabulary, count: int, seed: int
 ) -> list[ModelProfile]:
@@ -249,12 +272,7 @@ def sample_profiles(
     if count < 1:
         raise ValueError("count must be positive")
     rng = random.Random(seed)
-    t = vocab.t
-    out = []
-    for _ in range(count):
-        counts = Counter(rng.choices(range(t), k=n))
-        out.append(ModelProfile(tuple(counts.get(i, 0) for i in range(t))))
-    return out
+    return [ModelProfile(tuple(_draw_counts(rng, n, vocab.t))) for _ in range(count)]
 
 
 def estimate_separation_probability(
@@ -269,12 +287,9 @@ def estimate_separation_probability(
     t = vocab.t
     separable = 0
     for _ in range(trials):
-        a = Counter(rng.choices(range(t), k=n))
-        b = Counter(rng.choices(range(t), k=n))
-        ta = tuple(min(a.get(i, 0), d) for i in range(t))
-        tb = tuple(min(b.get(i, 0), d) for i in range(t))
-        if ta != tb:
-            separable += 1
+        a = _draw_counts(rng, n, t)  # model a's points, then model b's
+        b = _draw_counts(rng, n, t)
+        separable += [min(c, d) for c in a] != [min(c, d) for c in b]
     return separable / trials
 
 

@@ -67,6 +67,26 @@ def brute_class_counts(n: int, d: int, vocab: Vocabulary) -> dict:
     return dict(out)
 
 
+def choices_counts(rng, n: int, t: int) -> list[int]:
+    """Per-type counts of a uniform labeled model on n points, each type
+    drawn with one random() call through rng.choices: the reference draw
+    for the library's sampler, which reads the Mersenne Twister words
+    directly and must consume the same ones."""
+    counts = Counter(rng.choices(range(t), k=n))
+    return [counts[i] for i in range(t)]
+
+
+def choices_separation(n: int, d: int, t: int, trials: int, rng) -> float:
+    """The separation estimate over reference draws: model a's points,
+    then model b's, in each trial."""
+    separable = 0
+    for _ in range(trials):
+        a = choices_counts(rng, n, t)
+        b = choices_counts(rng, n, t)
+        separable += [min(c, d) for c in a] != [min(c, d) for c in b]
+    return separable / trials
+
+
 def set_partitions(items: list):
     """All partitions of a list into nonempty blocks."""
     if not items:

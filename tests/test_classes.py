@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from gmlu.classes import (
@@ -10,6 +12,7 @@ from gmlu.classes import (
     enumerate_orbits,
     tuple_of_profile,
 )
+from gmlu.combinatorics import multinomial
 from gmlu.models import ModelProfile
 from gmlu.vocab import Vocabulary
 
@@ -74,6 +77,8 @@ def test_orbits_expand_to_the_admissible_tuples():
                     assert list(rep.entries) == sorted(rep.entries, reverse=True)
                     perms = list(distinct_permutations(rep.entries))
                     assert multiplicity == len(perms), (rep, multiplicity)
+                    values = Counter(rep.entries).values()
+                    assert multiplicity == multinomial(vocab.t, list(values)), rep
                     expanded.extend(perms)
                 assert sorted(expanded) == tuples, (vocab.symbols, n, d)
                 assert sum(w for _, w in orbits) == len(tuples)

@@ -15,7 +15,7 @@ from gmlu.complexity import (
     upper_bound,
 )
 from gmlu.config import ScaleCapError, SearchCaps
-from gmlu.formulas import format_formula, size
+from gmlu.formulas import MODAL_TYPES, format_formula, size
 from gmlu.models import ModelProfile, enumerate_profiles, evaluate, sat_types
 from gmlu.vocab import Vocabulary
 
@@ -221,6 +221,17 @@ def test_separating_search_respects_depth():
 def test_search_rejects_duplicate_profiles():
     with pytest.raises(ValueError):
         FormulaSearch(V1, 1, [ModelProfile((1, 0)), ModelProfile((1, 0))])
+
+
+def test_search_builds_modal_tables_only_for_the_grades_it_reads():
+    # a modality of counting depth 1..d has grade depth - exact: 1..d for
+    # <>= and []<, 0..d-1 for <>== and []!=
+    profiles = list(enumerate_profiles(12, V1))
+    search = FormulaSearch(V1, 6, profiles)
+    assert set(search._modal_tables) == {
+        (cls, depth - cls.exact) for cls in MODAL_TYPES for depth in range(1, 7)
+    }
+    assert len(search._modal_tables) == 24
 
 
 def test_search_signatures_match_the_semantics():

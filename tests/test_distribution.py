@@ -1,9 +1,11 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from gmlu import distribution
 from gmlu.classes import AdmissibleTuple
 from gmlu.distribution import (
     ClassDistribution,
@@ -22,7 +24,10 @@ from gmlu.distribution import (
     shannon_entropy,
     verify_monotone_connection,
 )
+from gmlu.models import ModelProfile
 from gmlu.vocab import Vocabulary
+
+from oracles import choices_counts, choices_separation
 
 V1 = Vocabulary(("p",))
 V2 = Vocabulary(("p", "q"))
@@ -265,6 +270,49 @@ def test_separation_probability_exact_and_sampled():
 def test_separation_low_depth_rarely_separates():
     # both types almost surely show up at least once when n is large
     assert estimate_separation_probability(400, 1, V1, trials=2000, seed=5) == 0.0
+
+
+_Random = random.Random
+
+
+class _KeptRandom(_Random):
+    """random.Random that remembers every instance, so a test can read the
+    generator state a sampler leaves behind."""
+
+    made: list = []
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.made.append(self)
+
+
+# The sampler rests on how CPython's random() and getrandbits consume Mersenne
+# Twister words, so an interpreter that changes either fails here first.
+# |tau| = 1, 2, 3 and 8 take the word-reading draw, 9 (t = 512) the fallback;
+# 70,000 points span two getrandbits blocks of 2^16.
+DRAW_GRID = [(1, 1, 1, 200), (1, 2, 1, 200), (1, 3, 1, 200), (1, 8, 1, 20),
+             (1, 9, 1, 20), (100, 1, 2, 500), (64, 2, 16, 500), (12, 3, 3, 300),
+             (40, 8, 1, 10), (40, 9, 1, 10), (70_000, 1, 35_000, 2),
+             (70_000, 2, 17_500, 2)]
+
+
+def test_sampling_matches_the_choices_draw_and_its_generator_state(monkeypatch):
+    monkeypatch.setattr(distribution.random, "Random", _KeptRandom)
+    for n, k, d, trials in DRAW_GRID:
+        vocab = Vocabulary(tuple(f"s{i}" for i in range(k)))
+        t = vocab.t
+        _KeptRandom.made.clear()
+        sampled = estimate_separation_probability(n, d, vocab, trials, seed=n + k)
+        profiles = sample_profiles(n, vocab, trials, seed=n + k)
+        used, profile_rng = _KeptRandom.made
+
+        ref = _Random(n + k)
+        assert sampled == choices_separation(n, d, t, trials, ref), (n, k)
+        assert used.getstate() == ref.getstate(), (n, k)
+        ref = _Random(n + k)
+        assert profiles == [ModelProfile(tuple(choices_counts(ref, n, t)))
+                            for _ in range(trials)], (n, k)
+        assert profile_rng.getstate() == ref.getstate(), (n, k)
 
 
 # -- sweeps -----------------------------------------------------------------------

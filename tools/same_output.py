@@ -27,6 +27,10 @@ are compared:
 - each row report in all three formats at small scale: ``tuples``,
   ``class-size`` (also with ``--tuple``), ``entropy``, ``complexity``,
   ``cover`` (also with no edge, so no row) and ``verify counting``.
+- ``phase separation`` beyond the benchmark's |tau|=2: at |tau|=1 with
+  n=1, at |tau|=3, at |tau|=8 (t = 256, the largest t whose type is a
+  top byte of a Mersenne Twister word), at |tau|=9 (the ``choices``
+  fallback), and at n=70,000, above the sampler's block of 2^16 points.
 
 Two commands run at a time.  It prints each command whose output
 differs and exits 1 if any does.
@@ -112,6 +116,15 @@ ROWS: list[Command] = [((), (*argv, "--format", fmt))
                        for argv in ROW_REPORTS for fmt in ("json", "csv", "text")]
 
 
+SEPARATION = [("p", 1, 1, 500), ("p,q,r", 12, 3, 3000),
+              ("a,b,c,d,e,f,g,h", 2000, 1, 200), ("a,b,c,d,e,f,g,h,i", 4000, 1, 200),
+              ("p,q", 70_000, 17_500, 3)]
+SAMPLING: list[Command] = [((), ("phase", "separation", "--tau", tau, "--n", str(n),
+                                 "--d", str(d), "--trials", str(trials), "--seed", "5",
+                                 "--format", "json"))
+                           for tau, n, d, trials in SEPARATION]
+
+
 def run_command(root: Path, command: Command) -> tuple[int, str]:
     env = {k: v for k, v in os.environ.items() if not k.startswith("GMLU_")}
     env["PYTHONPATH"] = str(root / "src")
@@ -132,7 +145,7 @@ def main(argv=None) -> int:
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     commands = list(dict.fromkeys(
         readme_commands() + workload_commands() + game_commands() + [GRID_N5] + EXACT
-        + ROWS
+        + ROWS + SAMPLING
     ))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
