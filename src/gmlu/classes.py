@@ -28,7 +28,7 @@ class AdmissibleTuple:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("counting depth must be at least 1")
-        if any(not 0 <= e <= self.d for e in self.entries):
+        if min(self.entries, default=0) < 0 or max(self.entries, default=0) > self.d:
             raise ValueError(f"entries {self.entries} not within 0..{self.d}")
         total = sum(self.entries)
         if total > self.n:
@@ -46,7 +46,7 @@ class AdmissibleTuple:
     @property
     def k_d(self) -> int:
         """How many entries sit at the cap d."""
-        return sum(1 for e in self.entries if e == self.d)
+        return self.entries.count(self.d)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -91,23 +91,27 @@ def _admissible_entries(
     if d < 1:
         raise ValueError("counting depth must be at least 1")
     out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], total: int, capped: bool, hi: int):
+    # (entries so far, their sum, whether one is d, the largest next entry);
+    # a stack, not recursion, since t = 2^|tau| may pass the recursion limit
+    stack: list[tuple[tuple[int, ...], int, bool, int]] = [((), 0, False, d)]
+    while stack:
+        prefix, total, capped, hi = stack.pop()
         top = min(hi, n - total)
-        if len(prefix) == t - 1:
-            if capped:
-                out.extend((*prefix, e) for e in range(top + 1))
-            elif min(d, n - total) <= top:
-                # admissible means some entry reaches the cap d or the sum
-                # reaches n; with no capped entry yet, the last one must
-                out.append((*prefix, min(d, n - total)))
-            return
-        for e in range(top + 1):
-            prefix.append(e)
-            rec(prefix, total + e, capped or e == d, e if non_increasing else d)
-            prefix.pop()
-
-    rec([], 0, False, d)
+        if top == 0:
+            # every later entry is 0, and some entry is d or the sum is n
+            if capped or total == n:
+                out.append(prefix + (0,) * (t - len(prefix)))
+        elif len(prefix) < t - 1:
+            # pushed in reverse, so the smallest entry comes off first
+            for e in range(top, -1, -1):
+                stack.append(((*prefix, e), total + e, capped or e == d,
+                              e if non_increasing else d))
+        elif capped:
+            out.extend([(*prefix, e) for e in range(top + 1)])
+        elif min(d, n - total) <= top:
+            # admissible means some entry reaches the cap d or the sum
+            # reaches n; with no capped entry yet, the last one must
+            out.append((*prefix, min(d, n - total)))
     return out
 
 

@@ -134,22 +134,48 @@ def _json_text(value, depth: int = 0) -> str:
             body = [f"{_json_str(k)}: {_json_text(v, depth + 1)}"
                     for k, v in sorted(value.items())]
             return "{" + pad + "  " + f",{pad}  ".join(body) + pad + "}"
-        body = [_json_text(v, depth + 1) for v in value]
+        body = [_json_str(v) if type(v) is str else int.__repr__(v) if type(v) is int
+                else _json_text(v, depth + 1) for v in value]
         return "[" + pad + "  " + f",{pad}  ".join(body) + pad + "]"
     return _json_other(value)
 
 
 def _write_json(payload: dict, write) -> None:
     """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline,
-    list and iterator values one element at a time."""
+    list and iterator values one element at a time.
+
+    Rows are dicts that mostly share one key set: its layout is computed
+    once, and again only when a row's key set differs from the last one.
+    """
     sep = "{"
     for key, value in sorted(payload.items()):
         write(f"{sep}\n  {_json_str(key)}: ")
         sep = ","
         if isinstance(value, (list, tuple, Iterator)):
-            item_sep = "["
+            item_sep, shape = "[", None
             for item in value:
-                write(f"{item_sep}\n    {_json_text(item, 2)}")
+                if type(item) is not dict or not item:
+                    write(f"{item_sep}\n    {_json_text(item, 2)}")
+                    item_sep = ","
+                    continue
+                if item.keys() != shape:  # lay out the text before each value
+                    shape, keys = frozenset(item), sorted(item)
+                    heads = [f",\n      {_json_str(k)}: " for k in keys]
+                    heads[0] = "\n    {" + heads[0][1:]
+                parts = [item_sep]
+                for head, k in zip(heads, keys):
+                    parts.append(head)
+                    if type(v := item[k]) is str:
+                        parts.append(_json_str(v))
+                    elif type(v) is int:
+                        parts.append(int.__repr__(v))
+                    elif type(v) is list and v and set(map(type, v)) == {int}:
+                        ints = ",\n        ".join(map(int.__repr__, v))
+                        parts.append(f"[\n        {ints}\n      ]")
+                    else:
+                        parts.append(_json_text(v, 3))
+                parts.append("\n    }")
+                write("".join(parts))
                 item_sep = ","
             write("[]" if item_sep == "[" else "\n  ]")
         else:

@@ -51,7 +51,7 @@ def stirling_r_assoc(n: int, m: int, r: int) -> int:
 
 def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
     """Exact multinomial coefficient n! / (parts_1! ... parts_k!)."""
-    if any(p < 0 for p in parts):
+    if min(parts, default=0) < 0:
         raise ValueError(f"negative part in {parts}")
     if sum(parts) != n:
         raise ValueError(f"parts {parts} do not sum to {n}")

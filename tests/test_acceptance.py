@@ -30,7 +30,7 @@ from gmlu.distribution import (
     shannon_entropy,
     verify_monotone_connection,
 )
-from gmlu.game import check_game_formula_equivalence
+from gmlu.game import D_WINS, S_WINS, check_game_formula_equivalence
 from gmlu.models import ModelProfile, pointed_profiles
 from gmlu.vocab import Vocabulary
 
@@ -148,9 +148,24 @@ def test_criterion_05_game_formula_equivalence_grid():
                         chk = check_game_formula_equivalence(r, left, right, d, V1)
                         assert chk.agree, (n, d, r, left, right, chk)
                         instances += 1
+    # |tau|=2, where the complexity bounds are loose: at most one model per
+    # side, d=1, both searches' caps raised to two symbols
+    caps = SearchCaps(game_max_symbols=2, exact_max_symbols=2)
+    winners = Counter()
+    for n in (1, 2, 3):
+        sides = [frozenset()] + [frozenset([pm]) for pm in pointed_profiles(n, V2)]
+        for left in sides:
+            for right in sides:
+                for r in range(1, 7):
+                    chk = check_game_formula_equivalence(r, left, right, 1, V2, caps)
+                    assert chk.agree, (n, r, left, right, chk)
+                    winners[chk.winner] += 1
+    assert winners[S_WINS] and winners[D_WINS], winners
+    instances += winners.total()
     elapsed = time.time() - start
     ok = elapsed < 300
-    report(5, ok, f"{instances} game/search instances agree in {elapsed:.1f}s")
+    report(5, ok, f"{instances} game/search instances agree in {elapsed:.1f}s "
+                  f"({winners[S_WINS]} S and {winners[D_WINS]} D wins at |tau|=2)")
     assert ok, f"runtime {elapsed:.1f}s exceeds 300s"
 
 

@@ -33,6 +33,15 @@ def test_tuples_example(capsys):
     assert payload["tuples"][0] == {"entries": [0, 1], "n": 3, "d": 1}
 
 
+def test_ten_symbols_enumerate_past_the_recursion_limit(capsys):
+    # t = 2^10 types, one enumeration level per type
+    tau = ",".join(f"s{i}" for i in range(10))
+    code = main(["tuples", "--tau", tau, "--n", "1", "--d", "1"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert "\ncount: 1024\n" in out
+
+
 def test_entropy_example(capsys):
     payload = run_json(capsys, "entropy", "--tau", "p", "--n", "3", "--d", "1")
     assert payload["shannon"] == pytest.approx(1.06128, abs=1e-5)
@@ -107,6 +116,36 @@ def test_json_writer_streams_generated_rows(rows, payload):
     out = io.StringIO()
     _write_json({**payload, "rows": (row for row in rows)}, out.write)
     assert out.getvalue() == want
+
+
+# Rows that change shape mid-stream: the writer lays out one key set and
+# must lay out again, or fall back, whenever a row breaks its pattern.
+_SHAPE_CHANGES = {
+    "key-set-a-b-a": [{"a": 1, "b": "x"}, {"c": [1, 2]}, {"b": "y", "a": 2},
+                      {"a": 3, "b": "z", "c": 0}, {"a": 4}],
+    "column-type-changes": [{"v": x, "w": 0} for x in
+                            (2, "not-found", "", True, False, None, math.nan, 2.5, 3)],
+    "list-and-dict-values": [
+        {"ints": [1, -2, 10**30], "strs": ["a", "\u00e9"], "empty": [],
+         "nested": {"z": [1], "a": {"b": None}}, "tuple": (1, 2)},
+        {"ints": [True, 1], "strs": [], "empty": [[]], "nested": {},
+         "tuple": ()},
+        {"ints": [1.0, 2], "strs": ["x", 1], "empty": [{}], "nested": {"k": "v"},
+         "tuple": ("a",)},
+    ],
+    "empty-row": [{"a": 1}, {}, {"a": 2}, {}],
+    "escaped-keys": [{'"q"': 1, "a\nb": 2, "\u00e9": 3, "\\": "\u2603", "\x00": []},
+                     {'"q"': 4, "a\nb": 5, "\u00e9": 6, "\\": "", "\x00": [7]}],
+}
+
+
+@pytest.mark.parametrize("rows", _SHAPE_CHANGES.values(), ids=_SHAPE_CHANGES)
+def test_json_writer_rows_that_change_shape(rows):
+    want = json.dumps({"n": 1, "rows": rows}, sort_keys=True, indent=2) + "\n"
+    for given in (rows, iter(rows)):
+        out = io.StringIO()
+        _write_json({"n": 1, "rows": given}, out.write)
+        assert out.getvalue() == want
 
 
 # A report of 552 KB, more than a pipe holds, so writing it to a reader

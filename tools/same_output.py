@@ -25,8 +25,11 @@ are compared:
   ``complexity --tau p,q,r --n 1 --d 1 --exact`` under
   ``GMLU_EXACT_MAX_SYMBOLS=3``;
 - each row report in all three formats at small scale: ``tuples``,
-  ``class-size`` (also with ``--tuple``), ``entropy``, ``complexity``,
-  ``cover`` (also with no edge, so no row) and ``verify counting``.
+  ``class-size`` (also with ``--tuple``), ``entropy``, ``complexity``
+  (also with ``--exact --max-size 2``, whose ``exact`` column mixes
+  ``2`` and ``"not-found"``), ``cover`` (also with no edge, so no row),
+  ``verify counting`` and ``verify stirling`` (no vocabulary, bool
+  columns).
 - ``phase separation`` beyond the benchmark's |tau|=2: at |tau|=1 with
   n=1, at |tau|=3, at |tau|=8 (t = 256, the largest t whose type is a
   top byte of a Mersenne Twister word), at |tau|=9 (the ``choices``
@@ -111,6 +114,8 @@ ROW_REPORTS = [
     ("cover", "--tau", "p", "--n", "5", "--d", "2", "--tuple", "2,2"),
     ("cover", "--tau", "p", "--n", "1", "--d", "1", "--tuple", "1,0"),
     ("verify", "counting", "--tau", "p,q", "--max-n", "6"),
+    ("complexity", "--tau", "p", "--n", "4", "--d", "2", "--exact", "--max-size", "2"),
+    ("verify", "stirling", "--max-m", "3", "--max-r", "2", "--max-n", "8"),
 ]
 ROWS: list[Command] = [((), (*argv, "--format", fmt))
                        for argv in ROW_REPORTS for fmt in ("json", "csv", "text")]
