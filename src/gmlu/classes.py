@@ -10,34 +10,79 @@ and equivalence classes correspond one to one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from typing import NamedTuple
 
 from .combinatorics import multinomial, stirling_r_assoc
+from .config import SearchCaps, check_cap
 from .models import ModelProfile
 from .vocab import Vocabulary
 
 
-@dataclass(frozen=True, slots=True)
-class AdmissibleTuple:
-    """An (n, d)-admissible tuple naming one equivalence class."""
+class SlotRecord:
+    """Base of the immutable ``__slots__`` records built once per class row.
 
+    A subclass lists its fields as ``__slots__`` and sets them in its
+    ``__init__`` through ``object.__setattr__``.  Records of one type
+    compare and hash by their field tuple, print as ``Name(field=value,
+    ...)``, and copy and pickle by calling the type with that tuple.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = operator.attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class AdmissibleTuple(SlotRecord):
+    """An (n, d)-admissible tuple naming one equivalence class.
+
+    One is built per class, so its fields are slots: smaller than a
+    dict, and faster to read than a NamedTuple's fields.
+    """
+
+    __slots__ = ("entries", "n", "d")
     entries: tuple[int, ...]
     n: int
     d: int
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, entries: tuple[int, ...], n: int, d: int):
+        if d < 1:
             raise ValueError("counting depth must be at least 1")
-        if min(self.entries, default=0) < 0 or max(self.entries, default=0) > self.d:
-            raise ValueError(f"entries {self.entries} not within 0..{self.d}")
-        total = sum(self.entries)
-        if total > self.n:
-            raise ValueError(f"entries sum {total} exceeds n={self.n}")
-        if total < self.n and self.d not in self.entries:
+        if min(entries, default=0) < 0 or max(entries, default=0) > d:
+            raise ValueError(f"entries {entries} not within 0..{d}")
+        total = sum(entries)
+        if total > n:
+            raise ValueError(f"entries sum {total} exceeds n={n}")
+        if total < n and d not in entries:
             raise ValueError(
-                f"{self.entries} is not ({self.n},{self.d})-admissible: "
+                f"{entries} is not ({n},{d})-admissible: "
                 "no entry reaches the cap and the sum falls short of n"
             )
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
 
     @property
     def t(self) -> int:
@@ -120,6 +165,33 @@ def enumerate_admissible(n: int, d: int, vocab: Vocabulary) -> list[AdmissibleTu
     return [AdmissibleTuple(e, n, d) for e in _admissible_entries(n, d, vocab.t, False)]
 
 
+def _count_within(c: int, s: int, t: int) -> int:
+    """Length-t vectors with entries in 0..c and sum at most s, by
+    inclusion-exclusion over the entries forced above c."""
+    if s >= t * c:
+        return (c + 1) ** t
+    return sum(
+        (-1) ** j * math.comb(t, j) * math.comb(s - j * (c + 1) + t, t)
+        for j in range(min(t, s // (c + 1)) + 1)
+    )
+
+
+def admissible_count(n: int, d: int, t: int) -> int:
+    """The number of (n, d)-admissible length-t tuples, without listing
+    them: sum at most n with some entry d, or sum exactly n with none."""
+    if d < 1:
+        raise ValueError("counting depth must be at least 1")
+    uncapped_sum_n = _count_within(d - 1, n, t) - _count_within(d - 1, n - 1, t)
+    return _count_within(d, n, t) - _count_within(d - 1, n, t) + uncapped_sum_n
+
+
+def check_enumeration_cap(n: int, d: int, vocab: Vocabulary, caps: SearchCaps) -> None:
+    """Raise a ScaleCapError when the (n, d)-admissible tuples would store
+    more entries (tuples times t) than ``caps.enumerate_max_entries``."""
+    check_cap(caps, "enumerate_max_entries", admissible_count(n, d, vocab.t) * vocab.t,
+              "admissible-tuple entries")
+
+
 def enumerate_orbits(
     n: int, d: int, vocab: Vocabulary
 ) -> list[tuple[AdmissibleTuple, int]]:
@@ -159,8 +231,7 @@ def class_size(tup: AdmissibleTuple) -> int:
     return base * math.factorial(k_d) * stirling_r_assoc(m, k_d, tup.d)
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
+class ComparisonRecord(NamedTuple):
     """Exact class sizes of a tuple and a coordinatewise-larger variant."""
 
     base: AdmissibleTuple
@@ -195,8 +266,7 @@ def check_one_more_d(tup: AdmissibleTuple, i: int) -> ComparisonRecord:
     return ComparisonRecord(tup, other, class_size(tup), class_size(other))
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     n: int
     d: int
     pairs: tuple[ComparisonRecord, ...]

@@ -258,6 +258,7 @@ def _class_rows(dist: distribution.ClassDistribution, entries) -> Iterator[dict]
 
 
 def _cmd_tuples(args, vocab, caps) -> _Report:
+    classes.check_enumeration_cap(args.n, args.d, vocab, caps)
     tuples = classes.enumerate_admissible(args.n, args.d, vocab)
     return _Report(
         "tuples",
@@ -277,6 +278,7 @@ def _cmd_tuples(args, vocab, caps) -> _Report:
 
 
 def _cmd_class_size(args, vocab, caps) -> _Report:
+    classes.check_enumeration_cap(args.n, args.d, vocab, caps)
     dist = distribution.build_distribution(args.n, args.d, vocab)
     entries = dist.entries
     if args.tuple is not None:
@@ -289,6 +291,7 @@ def _cmd_class_size(args, vocab, caps) -> _Report:
 
 
 def _cmd_entropy(args, vocab, caps) -> _Report:
+    classes.check_enumeration_cap(args.n, args.d, vocab, caps)
     dist = distribution.build_distribution(args.n, args.d, vocab)
     h_s = distribution.shannon_entropy(dist)
     h_b = distribution.boltzmann_entropy(dist)
@@ -354,6 +357,7 @@ def _cmd_complexity(args, vocab, caps) -> _Report:
     if args.tuple is not None:
         tuples = [_parse_tuple(args.tuple, vocab, args.n, args.d)]
     else:
+        classes.check_enumeration_cap(args.n, args.d, vocab, caps)
         tuples = classes.enumerate_admissible(args.n, args.d, vocab)
     rows = [
         _complexity_row(t, vocab, args.exact, args.max_size, caps) for t in tuples

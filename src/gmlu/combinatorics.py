@@ -5,8 +5,8 @@ multinomials and the exact Stirling bounds that ``verify stirling`` checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 _stirling_cache: dict[tuple[int, int, int], int] = {}
 
@@ -61,23 +61,26 @@ def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class BoundPair:
-    """A two-sided estimate, lower <= upper."""
-
+class _BoundPairFields(NamedTuple):
     lower: Fraction
     upper: Fraction
 
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"lower {self.lower} > upper {self.upper}")
+
+class BoundPair(_BoundPairFields):
+    """A two-sided estimate, lower <= upper."""
+
+    __slots__ = ()
+
+    def __new__(cls, lower: Fraction, upper: Fraction):
+        if lower > upper:
+            raise ValueError(f"lower {lower} > upper {upper}")
+        return super().__new__(cls, lower, upper)
 
     def contains(self, value) -> bool:
         return self.lower <= value <= self.upper
 
 
-@dataclass(frozen=True)
-class StirlingBoundsCheck:
+class StirlingBoundsCheck(NamedTuple):
     bounds: BoundPair
     value: int
     ok: bool
@@ -94,8 +97,7 @@ def check_stirling_bounds(n: int, m: int, r: int) -> StirlingBoundsCheck:
     return StirlingBoundsCheck(bounds, value, bounds.contains(value))
 
 
-@dataclass(frozen=True)
-class GrowthBoundCheck:
+class GrowthBoundCheck(NamedTuple):
     value: int
     bound: Fraction
     ok: bool

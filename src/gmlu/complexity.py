@@ -11,8 +11,8 @@ and doubles as the separating-formula oracle for the game tests.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .classes import AdmissibleTuple, tuple_of_profile
 from .config import DEFAULT_CAPS, SearchCaps, check_cap
@@ -75,8 +75,7 @@ def canonical_formula(tup: AdmissibleTuple, vocab: Vocabulary) -> Formula:
     return _conjunction(parts)
 
 
-@dataclass(frozen=True)
-class UpperBoundReport:
+class UpperBoundReport(NamedTuple):
     """Size of the canonical formula, with the printed closed form.
 
     ``value`` (the size function applied to the formula) is the
@@ -123,8 +122,7 @@ def lower_bound(tup: AdmissibleTuple) -> int:
     return sum(tup.entries) - tup.entries[tup.max_index()]
 
 
-@dataclass(frozen=True)
-class CoverGraph:
+class CoverGraph(NamedTuple):
     """Directed graph over the support of a tuple.
 
     Vertices are the realized type indices.  Edges (i, j) exist for

@@ -1,7 +1,8 @@
 """Scale caps for the exhaustive-search components.
 
 The brute-force pieces (minimal-formula search, game solving, cover
-search) are exponential and deliberately fenced to a tiny scale.  The
+search) are exponential and deliberately fenced to a tiny scale, and the
+row reports are fenced by the entries their admissible tuples store.  The
 defaults below can be overridden through ``GMLU_*`` environment
 variables, read once per CLI invocation.
 """
@@ -9,15 +10,14 @@ variables, read once per CLI invocation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 
 class ScaleCapError(ValueError):
     """Requested computation exceeds the configured exhaustive-search caps."""
 
 
-@dataclass(frozen=True)
-class SearchCaps:
+class SearchCaps(NamedTuple):
     exact_max_symbols: int = 1
     exact_max_n: int = 6
     exact_max_d: int = 3
@@ -26,6 +26,7 @@ class SearchCaps:
     game_max_resource: int = 7
     game_max_models: int = 4
     cover_max_support: int = 16
+    enumerate_max_entries: int = 1 << 22
 
 
 def _env_name(field: str) -> str:
@@ -34,9 +35,12 @@ def _env_name(field: str) -> str:
 
 def check_cap(caps: SearchCaps, field: str, value: int, what: str) -> None:
     """Raise a ScaleCapError naming ``what``, the value, the cap and its
-    override variable when ``value`` exceeds the cap ``field``."""
+    override variable when ``value`` exceeds the cap ``field``.  A value
+    past 2^64 is named by its power of two."""
     cap = getattr(caps, field)
     if value > cap:
+        if value.bit_length() > 64:
+            value = f"above 2^{value.bit_length() - 1}"
         raise ScaleCapError(
             f"{what} {value} exceeds the cap {cap}; set {_env_name(field)} to raise it"
         )
@@ -45,14 +49,14 @@ def check_cap(caps: SearchCaps, field: str, value: int, what: str) -> None:
 def caps_from_env() -> SearchCaps:
     """Caps with ``GMLU_<FIELDNAME>`` environment overrides applied."""
     values = {}
-    for f in fields(SearchCaps):
-        raw = os.environ.get(_env_name(f.name))
+    for name in SearchCaps._fields:
+        raw = os.environ.get(_env_name(name))
         if raw is not None:
             try:
-                values[f.name] = int(raw)
+                values[name] = int(raw)
             except ValueError:
                 raise ValueError(
-                    f"environment override {_env_name(f.name)}={raw!r} "
+                    f"environment override {_env_name(name)}={raw!r} "
                     "is not an integer"
                 ) from None
     return SearchCaps(**values)

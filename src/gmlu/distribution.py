@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .classes import (
     AdmissibleTuple,
+    SlotRecord,
     class_size,
     enumerate_admissible,
     enumerate_orbits,
@@ -34,24 +34,34 @@ from .models import ModelProfile
 from .vocab import Vocabulary
 
 
-@dataclass(frozen=True, slots=True)
-class ClassEntry:
+class ClassEntry(SlotRecord):
+    """One class and its exact size; an immutable slot record like
+    AdmissibleTuple."""
+
+    __slots__ = ("tup", "size")
     tup: AdmissibleTuple
     size: int
+
+    def __init__(self, tup: AdmissibleTuple, size: int):
+        object.__setattr__(self, "tup", tup)
+        object.__setattr__(self, "size", size)
 
     @property
     def probability(self) -> Fraction:
         return Fraction(self.size, self.tup.t**self.tup.n)
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
-    """All classes of one (n, d) pair with exact sizes and probabilities."""
-
+class _ClassDistributionFields(NamedTuple):
     n: int
     d: int
     vocab: Vocabulary
     entries: tuple[ClassEntry, ...]
+
+
+class ClassDistribution(_ClassDistributionFields):
+    """All classes of one (n, d) pair with exact sizes and probabilities.
+
+    Its instances keep a ``__dict__``, where ``entropies`` is cached."""
 
     def max_entry(self) -> ClassEntry:
         """Largest class; ties broken by lexicographic tuple order."""
@@ -124,8 +134,7 @@ def shannon_entropy(dist: ClassDistribution) -> float:
     return dist.entropies[0]
 
 
-@dataclass(frozen=True)
-class DepthEntropyRow:
+class DepthEntropyRow(NamedTuple):
     d: int
     class_count: int
     shannon: float
@@ -155,17 +164,21 @@ def entropy_vs_depth(n: int, vocab: Vocabulary) -> list[DepthEntropyRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class PhaseConstants:
-    """Explicit majority-threshold constants for the type count t."""
-
+class _PhaseConstantsFields(NamedTuple):
     c1: float
     c2: float
     t: int
 
-    def __post_init__(self):
-        if not self.c2 < self.c1:
-            raise ValueError(f"expected c2 < c1, got {self.c2} >= {self.c1}")
+
+class PhaseConstants(_PhaseConstantsFields):
+    """Explicit majority-threshold constants for the type count t."""
+
+    __slots__ = ()
+
+    def __new__(cls, c1: float, c2: float, t: int):
+        if not c2 < c1:
+            raise ValueError(f"expected c2 < c1, got {c2} >= {c1}")
+        return super().__new__(cls, c1, c2, t)
 
 
 def phase_constants(vocab: Vocabulary) -> PhaseConstants:
@@ -176,8 +189,7 @@ def phase_constants(vocab: Vocabulary) -> PhaseConstants:
     return PhaseConstants(c1, c2, t)
 
 
-@dataclass(frozen=True)
-class MajorityReport:
+class MajorityReport(NamedTuple):
     n: int
     d: int
     candidate: AdmissibleTuple | None
@@ -300,8 +312,7 @@ def exact_separation_probability(n: int, d: int, vocab: Vocabulary) -> Fraction:
     return 1 - Fraction(collisions, vocab.t ** (2 * n))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n: int
     d: int
     candidate_probability: Fraction
@@ -366,8 +377,7 @@ def comparability_constant(vocab: Vocabulary) -> int:
     return vocab.t * (2 * len(vocab.symbols) + 1) - 1
 
 
-@dataclass(frozen=True)
-class MonotonePair:
+class MonotonePair(NamedTuple):
     """One comparable pair with the values its check compared.
 
     In exact mode the complexity fields hold exact complexities; in
@@ -384,8 +394,7 @@ class MonotonePair:
     ok: bool
 
 
-@dataclass(frozen=True)
-class MonotoneConnectionReport:
+class MonotoneConnectionReport(NamedTuple):
     n: int
     d: int
     mode: str

@@ -26,8 +26,7 @@ negation here, evaluation in ``models``, the search tables in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 from .vocab import Vocabulary
 
@@ -54,57 +53,85 @@ class BareLiteralError(FormulaError):
     pass
 
 
-@dataclass(frozen=True)
 class Formula:
-    pass
+    """Base of the formula kinds, each also a NamedTuple of its fields.
+    Two formulas are equal when they are of one kind with equal fields,
+    so ``And(a, b) != Or(a, b)``, and a formula never equals a plain
+    tuple; a formula hashes as its field tuple."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        if type(other) is type(self):
+            return tuple.__ne__(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Lit(Formula):
+class _LitFields(NamedTuple):
     symbol: str
     positive: bool = True
 
 
-@dataclass(frozen=True)
-class Binary(Formula):
-    """A boolean connective.  ``token`` is its syntax and ``dual`` the
-    connective that NNF negation turns it into."""
+class Lit(Formula, _LitFields):
+    __slots__ = ()
 
-    token: ClassVar[str]
-    dual: ClassVar[type[Binary]]
+
+class _BinaryFields(NamedTuple):
     left: Formula
     right: Formula
 
 
+class Binary(Formula, _BinaryFields):
+    """A boolean connective.  ``token`` is its syntax and ``dual`` the
+    connective that NNF negation turns it into."""
+
+    __slots__ = ()
+    token: ClassVar[str]
+    dual: ClassVar[type[Binary]]
+
+
 class And(Binary):
+    __slots__ = ()
     token = "&"
 
 
 class Or(Binary):
+    __slots__ = ()
     token = "|"
 
 
 And.dual, Or.dual = Or, And
 
 
-@dataclass(frozen=True)
-class Modal(Formula):
+class _ModalFields(NamedTuple):
+    grade: int
+    sub: Formula
+
+
+class Modal(Formula, _ModalFields):
     """A counting modality over all points.  ``holds(c, n, k)`` is its
     truth condition at grade k when c of the n points satisfy ``sub``;
     ``exact`` (0 or 1) is what an exact count adds to size and depth;
     ``dual`` is the kind NNF negation turns it into, at the same grade."""
 
+    __slots__ = ()
     token: ClassVar[str]
     dual: ClassVar[type[Modal]]
     exact: ClassVar[int]
     holds: ClassVar[Callable[[int, int, int], bool]]
-    grade: int
-    sub: Formula
 
 
 class DiamondGeq(Modal):
     """At least ``grade`` points satisfy ``sub``."""
 
+    __slots__ = ()
     token, exact = "<>=", 0
     holds = staticmethod(lambda c, n, k: c >= k)
 
@@ -112,6 +139,7 @@ class DiamondGeq(Modal):
 class BoxLt(Modal):
     """All points satisfy ``sub``, except fewer than ``grade`` of them."""
 
+    __slots__ = ()
     token, exact = "[]<", 0
     holds = staticmethod(lambda c, n, k: n - c < k)
 
@@ -119,6 +147,7 @@ class BoxLt(Modal):
 class DiamondEq(Modal):
     """Exactly ``grade`` points satisfy ``sub``."""
 
+    __slots__ = ()
     token, exact = "<>==", 1
     holds = staticmethod(lambda c, n, k: c == k)
 
@@ -126,6 +155,7 @@ class DiamondEq(Modal):
 class BoxNeq(Modal):
     """All points satisfy ``sub``, except some number != ``grade`` of them."""
 
+    __slots__ = ()
     token, exact = "[]!=", 1
     holds = staticmethod(lambda c, n, k: n - c != k)
 

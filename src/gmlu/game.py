@@ -19,8 +19,8 @@ embeds into a win at the same budget without them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 from .complexity import minimal_separating_size
 from .config import DEFAULT_CAPS, SearchCaps, check_cap
@@ -32,19 +32,29 @@ S_WINS = "S"
 D_WINS = "D"
 
 
-@dataclass(frozen=True)
-class GamePosition:
+class _GamePositionFields(NamedTuple):
     resource: int
     left: frozenset[PointedProfile]
     right: frozenset[PointedProfile]
     modal_move_made: bool = False
 
-    def __post_init__(self):
-        if self.resource < 0:
+
+class GamePosition(_GamePositionFields):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        resource: int,
+        left: frozenset[PointedProfile],
+        right: frozenset[PointedProfile],
+        modal_move_made: bool = False,
+    ):
+        if resource < 0:
             raise ValueError("resource must be nonnegative")
-        sizes = {pm.profile.n for pm in self.left | self.right}
+        sizes = {pm.profile.n for pm in left | right}
         if len(sizes) > 1:
             raise ValueError(f"models of mixed sizes {sizes} in one position")
+        return super().__new__(cls, resource, left, right, modal_move_made)
 
     @property
     def n(self) -> int | None:
@@ -53,12 +63,7 @@ class GamePosition:
         return None
 
 
-class GameMove:
-    pass
-
-
-@dataclass(frozen=True)
-class PropMove(GameMove):
+class PropMove(NamedTuple):
     literal: Lit
 
 
@@ -69,8 +74,7 @@ Selection = tuple[PointedProfile, tuple[int, ...]]
 LabelledSelection = tuple[PointedProfile, tuple[str, tuple[int, ...]]]
 
 
-@dataclass(frozen=True)
-class SplitMove(GameMove):
+class SplitMove(NamedTuple):
     """An "or-split" of the left side or an "and-split" of the right."""
 
     kind: str
@@ -80,8 +84,7 @@ class SplitMove(GameMove):
     r2: int
 
 
-@dataclass(frozen=True)
-class CountMove(GameMove):
+class CountMove(NamedTuple):
     """A counting move of kind "<>=", "[]<", "<>==" or "[]!="; the side
     that picks grade points (or grade+1 / n-grade+1 labelled sets) is the
     left one for the diamonds and the right one for the boxes."""
@@ -90,6 +93,9 @@ class CountMove(GameMove):
     grade: int
     left_selections: tuple[Selection | LabelledSelection, ...]
     right_selections: tuple[Selection | LabelledSelection, ...]
+
+
+GameMove = PropMove | SplitMove | CountMove
 
 
 # NNF negation swaps each box or and-move with its diamond or or-move at
@@ -101,9 +107,9 @@ _DUAL |= {dia.dual.token: dia.token for dia in _DIAMONDS.values()}
 
 def _dual(move: SplitMove | CountMove) -> SplitMove | CountMove:
     if isinstance(move, SplitMove):
-        return replace(move, kind=_DUAL[move.kind])
-    return replace(
-        move, kind=_DUAL[move.kind],
+        return move._replace(kind=_DUAL[move.kind])
+    return move._replace(
+        kind=_DUAL[move.kind],
         left_selections=move.right_selections,
         right_selections=move.left_selections,
     )
@@ -113,8 +119,7 @@ def _swapped(pos: GamePosition) -> GamePosition:
     return GamePosition(pos.resource, pos.right, pos.left, pos.modal_move_made)
 
 
-@dataclass(frozen=True)
-class MoveOutcome:
+class MoveOutcome(NamedTuple):
     """Either an immediate winner, or the successor positions; when there
     are two, the duplicator picks."""
 
@@ -633,8 +638,7 @@ def _trivial_truth(vocab: Vocabulary) -> Formula:
     return DiamondGeq(0, Lit(vocab.symbols[0], True))
 
 
-@dataclass(frozen=True)
-class GameFormulaCheck:
+class GameFormulaCheck(NamedTuple):
     """Agreement between the game value and the separating-formula search."""
 
     resource: int

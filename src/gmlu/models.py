@@ -9,8 +9,7 @@ under a modality) the point is irrelevant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .formulas import And, Formula, Lit, Or
 from .vocab import Vocabulary
@@ -20,17 +19,21 @@ class VocabularyMismatchError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ModelProfile:
-    """A model of size n up to isomorphism: counts[i] points of type i."""
-
+class _ModelProfileFields(NamedTuple):
     counts: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.counts or any(c < 0 for c in self.counts):
-            raise ValueError(f"bad counts {self.counts}")
-        if sum(self.counts) < 1:
+
+class ModelProfile(_ModelProfileFields):
+    """A model of size n up to isomorphism: counts[i] points of type i."""
+
+    __slots__ = ()
+
+    def __new__(cls, counts: tuple[int, ...]):
+        if not counts or any(c < 0 for c in counts):
+            raise ValueError(f"bad counts {counts}")
+        if sum(counts) < 1:
             raise ValueError("a model needs at least one point")
+        return super().__new__(cls, counts)
 
     @property
     def n(self) -> int:
@@ -40,18 +43,22 @@ class ModelProfile:
         return tuple(i for i, c in enumerate(self.counts) if c > 0)
 
 
-@dataclass(frozen=True)
-class PointedProfile:
-    """A profile together with the type of the evaluation point."""
-
+class _PointedProfileFields(NamedTuple):
     profile: ModelProfile
     point_type: int
 
-    def __post_init__(self):
-        if not 0 <= self.point_type < len(self.profile.counts):
-            raise ValueError(f"point type {self.point_type} out of range")
-        if self.profile.counts[self.point_type] < 1:
-            raise ValueError(f"point type {self.point_type} not realized")
+
+class PointedProfile(_PointedProfileFields):
+    """A profile together with the type of the evaluation point."""
+
+    __slots__ = ()
+
+    def __new__(cls, profile: ModelProfile, point_type: int):
+        if not 0 <= point_type < len(profile.counts):
+            raise ValueError(f"point type {point_type} out of range")
+        if profile.counts[point_type] < 1:
+            raise ValueError(f"point type {point_type} not realized")
+        return super().__new__(cls, profile, point_type)
 
     def sort_key(self):
         return (self.profile.counts, self.point_type)

@@ -11,25 +11,31 @@ the all-positive type.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    """An ordered, duplicate-free tuple of proposition symbols."""
-
+# A NamedTuple body may not define __new__, so each record that checks its
+# fields declares them on a base like this one and checks them in a subclass.
+class _VocabularyFields(NamedTuple):
     symbols: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.symbols:
+
+class Vocabulary(_VocabularyFields):
+    """An ordered, duplicate-free tuple of proposition symbols."""
+
+    __slots__ = ()
+
+    def __new__(cls, symbols: tuple[str, ...]):
+        if not symbols:
             raise ValueError("vocabulary needs at least one symbol")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError(f"duplicate symbols in {self.symbols}")
-        for sym in self.symbols:
+        if len(set(symbols)) != len(symbols):
+            raise ValueError(f"duplicate symbols in {symbols}")
+        for sym in symbols:
             if not _SYMBOL_RE.match(sym):
                 raise ValueError(f"bad symbol name {sym!r}")
+        return super().__new__(cls, symbols)
 
     @staticmethod
     def from_csv(text: str) -> "Vocabulary":

@@ -1,9 +1,15 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
 
+from gmlu import distribution
 from gmlu.classes import (
     AdmissibleTuple,
+    _admissible_entries,
+    admissible_count,
+    check_enumeration_cap,
     check_class_size_monotonicity,
     check_one_more_d,
     check_one_more_element,
@@ -13,6 +19,7 @@ from gmlu.classes import (
     tuple_of_profile,
 )
 from gmlu.combinatorics import multinomial
+from gmlu.config import ScaleCapError, SearchCaps, caps_from_env
 from gmlu.models import ModelProfile
 from gmlu.vocab import Vocabulary
 
@@ -163,3 +170,75 @@ def test_monotonicity_small_n_failure_is_reported():
     assert ((1, 1, 0, 0), (1, 1, 1, 0)) in bad  # both classes have 6 models
     # n=4 still fails ((1,1,1,0) beats (1,1,1,1), 36 > 24); n=5 onward passes
     assert report.minimal_all_pass_n == 5
+
+
+def test_admissible_count_matches_the_enumeration():
+    for t in (1, 2, 4, 8):
+        for n in range(1, 8 if t < 8 else 5):
+            for d in range(1, n + 2):
+                assert admissible_count(n, d, t) == len(
+                    _admissible_entries(n, d, t, False)
+                ), (n, d, t)
+
+
+def test_enumeration_cap_counts_tuples_exactly():
+    # 3 tuples of 2 entries: (0, 1), (1, 0) and (1, 1)
+    check_enumeration_cap(3, 1, V1, SearchCaps(enumerate_max_entries=6))
+    with pytest.raises(ScaleCapError, match="admissible-tuple entries 6 exceeds"
+                       " the cap 5; set GMLU_ENUMERATE_MAX_ENTRIES to raise it"):
+        check_enumeration_cap(3, 1, V1, SearchCaps(enumerate_max_entries=5))
+
+
+def test_search_caps_take_keywords_and_environment(monkeypatch):
+    caps = SearchCaps(game_max_n=5, enumerate_max_entries=9)
+    assert (caps.game_max_n, caps.enumerate_max_entries, caps.exact_max_n) == (5, 9, 6)
+    monkeypatch.setenv("GMLU_EXACT_MAX_D", "5")
+    assert caps_from_env() == SearchCaps(exact_max_d=5)
+    monkeypatch.setenv("GMLU_GAME_MAX_N", "four")
+    with pytest.raises(ValueError) as exc:
+        caps_from_env()
+    assert str(exc.value) == (
+        "environment override GMLU_GAME_MAX_N='four' is not an integer"
+    )
+
+
+def test_admissible_tuple_is_an_immutable_value():
+    tup = AdmissibleTuple((1, 2), 4, 2)
+    assert tup == AdmissibleTuple((1, 2), 4, 2) != AdmissibleTuple((2, 1), 4, 2)
+    assert tup != ((1, 2), 4, 2)
+    assert hash(tup) == hash(((1, 2), 4, 2))
+    assert repr(tup) == "AdmissibleTuple(entries=(1, 2), n=4, d=2)"
+    with pytest.raises(AttributeError):
+        tup.n = 5
+    with pytest.raises(AttributeError):
+        del tup.d
+    with pytest.raises(AttributeError):
+        tup.extra = 1
+    assert copy.copy(tup) == pickle.loads(pickle.dumps(tup)) == tup
+
+
+def test_class_entry_is_an_immutable_value():
+    entry = distribution.build_distribution(3, 1, V1).entries[0]
+    assert entry == distribution.ClassEntry(AdmissibleTuple((0, 1), 3, 1), 1)
+    assert hash(entry) == hash((entry.tup, 1))
+    assert repr(entry) == (
+        "ClassEntry(tup=AdmissibleTuple(entries=(0, 1), n=3, d=1), size=1)"
+    )
+    with pytest.raises(AttributeError):
+        entry.size = 2
+    assert entry != (entry.tup, 1)
+    assert copy.copy(entry) == pickle.loads(pickle.dumps(entry)) == entry
+
+
+def test_distribution_entropies_are_computed_once(monkeypatch):
+    calls = []
+    entropies = distribution._entropies
+    monkeypatch.setattr(distribution, "_entropies",
+                        lambda *a: calls.append(a) or entropies(*a))
+    dist = distribution.build_distribution(3, 1, V1)
+    h_s = distribution.shannon_entropy(dist)
+    h_b = distribution.boltzmann_entropy(dist)
+    assert distribution.shannon_entropy(dist) == h_s
+    assert (len(calls), h_s + h_b) == (1, 3.0)
+    with pytest.raises(AttributeError):
+        dist.n = 4

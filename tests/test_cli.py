@@ -42,6 +42,33 @@ def test_ten_symbols_enumerate_past_the_recursion_limit(capsys):
     assert "\ncount: 1024\n" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("tuples",), ("class-size",), ("entropy",), ("complexity",),
+    ("class-size", "--tuple", ",".join(["1"] + ["0"] * 1023)),
+])
+def test_enumeration_cap_stops_a_row_report_before_it_builds(capsys, monkeypatch,
+                                                            argv):
+    # t = 2^10 types at n = 2: 524,800 tuples of 1,024 entries each, about
+    # 4 GB, so enumerating them fails the test instead
+    monkeypatch.setattr("gmlu.classes._admissible_entries", None)
+    tau = ",".join(f"s{i}" for i in range(10))
+    assert main([argv[0], "--tau", tau, "--n", "2", "--d", "1", *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: admissible-tuple entries 537395200 exceeds the cap 4194304; "
+        "set GMLU_ENUMERATE_MAX_ENTRIES to raise it\n"
+    ))
+
+
+def test_import_generates_no_dataclass_code():
+    # dataclasses exec generated methods for each class at import, and
+    # bring in inspect, ast, dis and tokenize with them
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    code = "import sys, gmlu.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_entropy_example(capsys):
     payload = run_json(capsys, "entropy", "--tau", "p", "--n", "3", "--d", "1")
     assert payload["shannon"] == pytest.approx(1.06128, abs=1e-5)

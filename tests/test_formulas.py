@@ -104,6 +104,47 @@ def test_negate_duals():
     assert negate(And(Lit("p"), Lit("q"))) == Or(Lit("p", False), Lit("q", False))
 
 
+# -- record semantics --------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind, other", [
+    (And, Or), (DiamondGeq, BoxLt), (DiamondEq, BoxNeq), (DiamondGeq, DiamondEq),
+])
+def test_kinds_with_equal_fields_differ(kind, other):
+    a, b = (Lit("p"), Lit("q")) if kind is And else (1, Lit("p"))
+    assert kind(a, b) != other(a, b)
+    assert not kind(a, b) == other(a, b)
+    assert len({kind(a, b), other(a, b)}) == 2
+    assert kind(a, b) == kind(a, b)
+    assert not kind(a, b) != kind(a, b)
+    assert kind(a, b) != (a, b) and (a, b) != kind(a, b)
+    assert not kind(a, b) == (a, b)
+    assert Lit("p") != ("p", True)
+
+
+def test_formula_hash_is_the_hash_of_its_fields():
+    f = DiamondEq(2, And(Lit("p"), Lit("q", False)))
+    assert hash(f) == hash((2, And(Lit("p"), Lit("q", False))))
+    assert hash(f.sub) == hash((Lit("p"), Lit("q", False)))
+    assert hash(Lit("p")) == hash(("p", True))
+
+
+def test_formula_repr_names_its_fields():
+    assert repr(BoxLt(1, Or(Lit("p"), Lit("q", False)))) == (
+        "BoxLt(grade=1, sub=Or(left=Lit(symbol='p', positive=True), "
+        "right=Lit(symbol='q', positive=False)))"
+    )
+
+
+@pytest.mark.parametrize("f, field", [
+    (Lit("p"), "positive"), (And(Lit("p"), Lit("q")), "left"),
+    (DiamondGeq(1, Lit("p")), "grade"),
+])
+def test_formula_fields_cannot_be_assigned(f, field):
+    with pytest.raises(AttributeError):
+        setattr(f, field, None)
+
+
 # -- random formulas ---------------------------------------------------------
 
 

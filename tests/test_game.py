@@ -36,6 +36,23 @@ MIXED_P = pp((1, 1), 0)
 MIXED_NOT_P = pp((1, 1), 1)
 
 
+def test_position_hashes_and_prints_as_its_fields():
+    pos = GamePosition(2, frozenset({ALL_P}), frozenset({MIXED_P}))
+    assert pos == GamePosition(2, frozenset({ALL_P}), frozenset({MIXED_P}), False)
+    assert hash(pos) == hash((2, frozenset({ALL_P}), frozenset({MIXED_P}), False))
+    assert repr(pos) == (
+        "GamePosition(resource=2, "
+        "left=frozenset({PointedProfile(profile=ModelProfile(counts=(2, 0)), "
+        "point_type=0)}), "
+        "right=frozenset({PointedProfile(profile=ModelProfile(counts=(1, 1)), "
+        "point_type=0)}), modal_move_made=False)"
+    )
+    with pytest.raises(AttributeError):
+        pos.resource = 3
+    with pytest.raises(ValueError, match="resource must be nonnegative"):
+        GamePosition(-1, frozenset(), frozenset())
+
+
 def test_resource_zero_loses():
     pos = GamePosition(0, frozenset({ALL_P}), frozenset({MIXED_P}))
     assert solve(pos, 1, V1) == D_WINS

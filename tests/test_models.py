@@ -76,6 +76,18 @@ def test_profile_validation():
         PointedProfile(ModelProfile((1, 0)), 1)
 
 
+def test_profile_records_hash_and_print_as_their_fields():
+    profile = ModelProfile((1, 2))
+    pm = PointedProfile(profile, 1)
+    assert hash(profile) == hash(((1, 2),))
+    assert hash(pm) == hash((profile, 1))
+    assert repr(pm) == "PointedProfile(profile=ModelProfile(counts=(1, 2)), point_type=1)"
+    with pytest.raises(AttributeError):
+        profile.counts = (3, 0)
+    with pytest.raises(AttributeError):
+        pm.point_type = 0
+
+
 def test_enumerate_profiles_counts():
     assert sum(1 for _ in enumerate_profiles(5, V1)) == 6
     assert sum(1 for _ in enumerate_profiles(4, V2)) == 35  # C(4+3, 3)

@@ -7,8 +7,8 @@ Usage, from the root of a checkout::
 The base revision is exported with ``bench_pairs.export_tree`` into a
 temporary directory; the change is this working tree.  Each side runs
 every command below as ``python -m gmlu ...`` from its own ``src``, with
-no ``GMLU_*`` variable inherited, and the two stdouts and exit codes
-are compared:
+no ``GMLU_*`` variable inherited, and the two exit codes, stdouts and
+stderrs are compared:
 
 - the commands of README.md's "Command line" block;
 - every command of the four ``perfbench`` workloads for seeds 1-8
@@ -33,7 +33,12 @@ are compared:
 - ``phase separation`` beyond the benchmark's |tau|=2: at |tau|=1 with
   n=1, at |tau|=3, at |tau|=8 (t = 256, the largest t whose type is a
   top byte of a Mersenne Twister word), at |tau|=9 (the ``choices``
-  fallback), and at n=70,000, above the sampler's block of 2^16 points.
+  fallback), and at n=70,000, above the sampler's block of 2^16 points;
+- inputs that a record's validation rejects, whose ``error:`` lines are
+  compared: tuples with an entry above d or that are not admissible,
+  vocabularies with a duplicate or a bad symbol, a pointed model at an
+  unrealized type or with no point, and a game position whose models
+  differ in size.
 
 Two commands run at a time.  It prints each command whose output
 differs and exits 1 if any does.
@@ -130,13 +135,26 @@ SAMPLING: list[Command] = [((), ("phase", "separation", "--tau", tau, "--n", str
                            for tau, n, d, trials in SEPARATION]
 
 
-def run_command(root: Path, command: Command) -> tuple[int, str]:
+GAME_P = ("game", "solve", "--tau", "p", "--d", "1", "--r", "3")
+REJECTED: list[Command] = [((), argv) for argv in (
+    ("class-size", "--tau", "p,q", "--n", "4", "--d", "2", "--tuple", "3,0,0,0"),
+    ("class-size", "--tau", "p,q", "--n", "4", "--d", "2", "--tuple", "1,0,0,0"),
+    ("tuples", "--tau", "p,p", "--n", "2", "--d", "1"),
+    ("tuples", "--tau", "1x", "--n", "2", "--d", "1"),
+    (*GAME_P, "--left", "2,0@1", "--right", "1,1@0"),
+    (*GAME_P, "--left", "0,0@0", "--right", "1,1@0"),
+    (*GAME_P, "--left", "2,0@0", "--right", "2,1@0"),
+    ("cover", "--tau", "p", "--n", "3", "--d", "1", "--tuple", "2,0"),
+)]
+
+
+def run_command(root: Path, command: Command) -> tuple[int, str, str]:
     env = {k: v for k, v in os.environ.items() if not k.startswith("GMLU_")}
     env["PYTHONPATH"] = str(root / "src")
     env.update(command[0])
     proc = subprocess.run([sys.executable, "-m", "gmlu", *command[1]], cwd=root,
                           env=env, capture_output=True, text=True)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def describe(command: Command) -> str:
@@ -150,7 +168,7 @@ def main(argv=None) -> int:
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     commands = list(dict.fromkeys(
         readme_commands() + workload_commands() + game_commands() + [GRID_N5] + EXACT
-        + ROWS + SAMPLING
+        + ROWS + SAMPLING + REJECTED
     ))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
