@@ -13,7 +13,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .combinatorics import multinomial, stirling_r_assoc
+from .combinatorics import stirling_r_assoc
 from .config import SearchCaps, check_cap
 from .models import ModelProfile
 from .vocab import Vocabulary
@@ -23,7 +23,8 @@ class SlotRecord:
     """Base of the immutable ``__slots__`` records built once per class row.
 
     A subclass lists its fields as ``__slots__`` and sets them in its
-    ``__init__`` through ``object.__setattr__``.  Records of one type
+    ``__init__`` through ``_setters``, the ``__set__`` of each slot's
+    descriptor in ``__slots__`` order.  Records of one type
     compare and hash by their field tuple, print as ``Name(field=value,
     ...)``, and copy and pickle by calling the type with that tuple.
     """
@@ -32,6 +33,7 @@ class SlotRecord:
 
     def __init_subclass__(cls):
         cls._values = operator.attrgetter(*cls.__slots__)
+        cls._setters = tuple(vars(cls)[f].__set__ for f in cls.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -70,7 +72,7 @@ class AdmissibleTuple(SlotRecord):
     def __init__(self, entries: tuple[int, ...], n: int, d: int):
         if d < 1:
             raise ValueError("counting depth must be at least 1")
-        if min(entries, default=0) < 0 or max(entries, default=0) > d:
+        if entries and (min(entries) < 0 or max(entries) > d):
             raise ValueError(f"entries {entries} not within 0..{d}")
         total = sum(entries)
         if total > n:
@@ -80,9 +82,10 @@ class AdmissibleTuple(SlotRecord):
                 f"{entries} is not ({n},{d})-admissible: "
                 "no entry reaches the cap and the sum falls short of n"
             )
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
+        set_entries, set_n, set_d = self._setters
+        set_entries(self, entries)
+        set_n(self, n)
+        set_d(self, d)
 
     @property
     def t(self) -> int:
@@ -147,8 +150,13 @@ def _admissible_entries(
             if capped or total == n:
                 out.append(prefix + (0,) * (t - len(prefix)))
         elif len(prefix) < t - 1:
+            low = 0
+            if non_increasing and not capped:
+                # no later entry reaches d unless e does, so the sum must
+                # reach n with t - len(prefix) entries of at most e
+                low = min(d, -((total - n) // (t - len(prefix))))
             # pushed in reverse, so the smallest entry comes off first
-            for e in range(top, -1, -1):
+            for e in range(top, low - 1, -1):
                 stack.append(((*prefix, e), total + e, capped or e == d,
                               e if non_increasing else d))
         elif capped:
@@ -187,9 +195,20 @@ def admissible_count(n: int, d: int, t: int) -> int:
 
 def check_enumeration_cap(n: int, d: int, vocab: Vocabulary, caps: SearchCaps) -> None:
     """Raise a ScaleCapError when the (n, d)-admissible tuples would store
-    more entries (tuples times t) than ``caps.enumerate_max_entries``."""
-    check_cap(caps, "enumerate_max_entries", admissible_count(n, d, vocab.t) * vocab.t,
-              "admissible-tuple entries")
+    more entries (tuples times t) than ``caps.enumerate_max_entries``.
+
+    A lower bound on the count comes first: the nonzero 0/1 tuples with at
+    most n ones (d = 1), or d followed by 0s and 1s with at most n - d ones.
+    Past both the cap and 2^64 it settles the refusal, whose message then
+    names only a power of two, and the slow exact count is skipped."""
+    t = vocab.t
+    if d == 1:
+        entries = (2 ** min(t, n) - 1) * t
+    else:
+        entries = 2 ** min(t - 1, n - d) * t if n >= d else 0
+    if entries <= max(caps.enumerate_max_entries, 2**64):
+        entries = admissible_count(n, d, t) * t
+    check_cap(caps, "enumerate_max_entries", entries, "admissible-tuple entries")
 
 
 def enumerate_orbits(
@@ -217,18 +236,23 @@ def enumerate_orbits(
 def class_size(tup: AdmissibleTuple) -> int:
     """Exact number of size-n models in the class.
 
-    Pick the points for each exactly-specified type (a multinomial),
-    split the rest into one block of size >= d per capped type, and
-    assign capped types to blocks.  With no capped entry both partition
-    factors degenerate to 1.
+    Pick the points for each exactly-specified type, leaving m points to
+    the capped types: n! / (m! * prod of e! over the entries e < d).
+    Split those m into one block of size >= d per capped type, and assign
+    capped types to blocks.  With no capped entry m is 0 and both
+    partition factors degenerate to 1.
     """
-    exact = [e for e in tup.entries if e < tup.d]
-    k_d = tup.t - len(exact)
-    m = tup.n - sum(exact)
-    base = multinomial(tup.n, exact + [m])
+    n, d, entries = tup.n, tup.d, tup.entries
+    k_d = entries.count(d)
+    m = n - sum(entries) + k_d * d
+    denominator = math.factorial(m)
+    for e in entries:
+        if e < d:
+            denominator *= math.factorial(e)
+    size = math.factorial(n) // denominator
     if k_d == 0:
-        return base
-    return base * math.factorial(k_d) * stirling_r_assoc(m, k_d, tup.d)
+        return size
+    return size * math.factorial(k_d) * stirling_r_assoc(m, k_d, d)
 
 
 class ComparisonRecord(NamedTuple):

@@ -1,5 +1,5 @@
-"""Exact big-integer combinatorics: r-associated Stirling numbers,
-multinomials and the exact Stirling bounds that ``verify stirling`` checks.
+"""Exact big-integer combinatorics: r-associated Stirling numbers and the
+exact Stirling bounds that ``verify stirling`` checks.
 """
 
 from __future__ import annotations
@@ -47,18 +47,6 @@ def stirling_r_assoc(n: int, m: int, r: int) -> int:
                 val = mm * prev + math.comb(nn - 1, r - 1) * below
             _stirling_cache[cell] = val
     return _stirling_cache[key]
-
-
-def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
-    """Exact multinomial coefficient n! / (parts_1! ... parts_k!)."""
-    if min(parts, default=0) < 0:
-        raise ValueError(f"negative part in {parts}")
-    if sum(parts) != n:
-        raise ValueError(f"parts {parts} do not sum to {n}")
-    out = math.factorial(n)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
 
 
 class _BoundPairFields(NamedTuple):

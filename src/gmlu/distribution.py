@@ -43,8 +43,9 @@ class ClassEntry(SlotRecord):
     size: int
 
     def __init__(self, tup: AdmissibleTuple, size: int):
-        object.__setattr__(self, "tup", tup)
-        object.__setattr__(self, "size", size)
+        set_tup, set_size = self._setters
+        set_tup(self, tup)
+        set_size(self, size)
 
     @property
     def probability(self) -> Fraction:

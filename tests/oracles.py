@@ -1,15 +1,19 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here works on fully labeled models (an explicit type per
-point) and explicit point sets, never on count profiles or type
+The brute-force oracles work on fully labeled models (an explicit type
+per point) and explicit point sets, never on count profiles or type
 subvectors, so agreement with the library is a genuine two-route check.
+Past the sizes brute force reaches, slow reference formulas stand in:
+the step-by-step multinomial and the class size built from it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import combinations, product
 
+from gmlu.combinatorics import stirling_r_assoc
 from gmlu.formulas import And, BoxLt, BoxNeq, DiamondEq, DiamondGeq, Lit, Or
 from gmlu.vocab import Vocabulary
 
@@ -65,6 +69,31 @@ def brute_class_counts(n: int, d: int, vocab: Vocabulary) -> dict:
         counts = counts_of(assignment, vocab.t)
         out[tuple(min(c, d) for c in counts)] += 1
     return dict(out)
+
+
+def multinomial(n: int, parts: list[int] | tuple[int, ...]) -> int:
+    """Exact multinomial coefficient n! / (parts_1! ... parts_k!)."""
+    if min(parts, default=0) < 0:
+        raise ValueError(f"negative part in {parts}")
+    if sum(parts) != n:
+        raise ValueError(f"parts {parts} do not sum to {n}")
+    out = math.factorial(n)
+    for p in parts:
+        out //= math.factorial(p)
+    return out
+
+
+def reference_class_size(tup) -> int:
+    """Class size as multinomial x k_d! x r-associated Stirling number:
+    the points of each entry below d, the m points left over, split into
+    one block of at least d points per capped entry."""
+    exact = [e for e in tup.entries if e < tup.d]
+    k_d = tup.t - len(exact)
+    m = tup.n - sum(exact)
+    base = multinomial(tup.n, exact + [m])
+    if k_d == 0:
+        return base
+    return base * math.factorial(k_d) * stirling_r_assoc(m, k_d, tup.d)
 
 
 def choices_counts(rng, n: int, t: int) -> list[int]:

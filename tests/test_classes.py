@@ -18,16 +18,16 @@ from gmlu.classes import (
     enumerate_orbits,
     tuple_of_profile,
 )
-from gmlu.combinatorics import multinomial
 from gmlu.config import ScaleCapError, SearchCaps, caps_from_env
 from gmlu.models import ModelProfile
 from gmlu.vocab import Vocabulary
 
-from oracles import brute_class_counts
+from oracles import brute_class_counts, multinomial, reference_class_size
 
 V1 = Vocabulary(("p",))
 V2 = Vocabulary(("p", "q"))
 V3 = Vocabulary(("p", "q", "r"))
+V4 = Vocabulary(("p", "q", "r", "s"))
 
 
 def distinct_permutations(entries):
@@ -73,8 +73,8 @@ def test_enumerate_is_unique_and_lexicographic():
 
 
 def test_orbits_expand_to_the_admissible_tuples():
-    for vocab in (V1, V2, V3):
-        for n in range(1, 9):
+    for vocab, max_n in ((V1, 8), (V2, 12), (V3, 8), (V4, 6)):
+        for n in range(1, max_n + 1):
             for d in range(1, n + 2):
                 tuples = [t.entries for t in enumerate_admissible(n, d, vocab)]
                 orbits = enumerate_orbits(n, d, vocab)
@@ -106,6 +106,13 @@ def test_class_size_matches_brute_force():
                 assert {t.entries for t in tuples} == set(brute)
                 for t in tuples:
                     assert class_size(t) == brute[t.entries], (t, n, d)
+
+
+def test_class_size_matches_the_reference_formula():
+    # past brute force: d < n, several capped entries, large n
+    for vocab, n, d in ((V3, 12, 3), (V2, 64, 16), (V2, 24, 10), (V1, 256, 128)):
+        for t in enumerate_admissible(n, d, vocab):
+            assert class_size(t) == reference_class_size(t), t
 
 
 def test_partition_identity():
@@ -187,6 +194,17 @@ def test_enumeration_cap_counts_tuples_exactly():
     with pytest.raises(ScaleCapError, match="admissible-tuple entries 6 exceeds"
                        " the cap 5; set GMLU_ENUMERATE_MAX_ENTRIES to raise it"):
         check_enumeration_cap(3, 1, V1, SearchCaps(enumerate_max_entries=5))
+
+
+def test_enumeration_cap_refuses_a_huge_count_without_counting_it(monkeypatch):
+    # t = 2^13 types at n = 8192, d = 2: the exact count takes tens of
+    # seconds, while the 2^8190 tuples of 2 and then 0s and 1s already
+    # pass the cap
+    monkeypatch.setattr("gmlu.classes.admissible_count", None)
+    vocab = Vocabulary(tuple(f"s{i}" for i in range(13)))
+    with pytest.raises(ScaleCapError, match=r"^admissible-tuple entries above 2\^\d+ "
+                       "exceeds the cap 4194304; set GMLU_ENUMERATE_MAX_ENTRIES"):
+        check_enumeration_cap(8192, 2, vocab, SearchCaps())
 
 
 def test_search_caps_take_keywords_and_environment(monkeypatch):

@@ -8,11 +8,10 @@ from gmlu.combinatorics import (
     BoundPair,
     check_growth_bound,
     check_stirling_bounds,
-    multinomial,
     stirling_r_assoc,
 )
 
-from oracles import brute_stirling
+from oracles import brute_stirling, multinomial
 
 
 def test_single_block():

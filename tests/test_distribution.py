@@ -27,7 +27,7 @@ from gmlu.distribution import (
 from gmlu.models import ModelProfile
 from gmlu.vocab import Vocabulary
 
-from oracles import choices_counts, choices_separation
+from oracles import choices_counts, choices_separation, multinomial
 
 V1 = Vocabulary(("p",))
 V2 = Vocabulary(("p", "q"))
@@ -114,8 +114,6 @@ def test_entropy_vs_depth_n8():
 
 def test_boltzmann_over_isomorphism_classes_is_expected_log_multinomial():
     # at d >= n every class is an isomorphism class of size multinomial(n; counts)
-    from gmlu.combinatorics import multinomial
-
     n = 6
     dist = build_distribution(n, n, V1)
     expected = sum(

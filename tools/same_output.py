@@ -34,6 +34,11 @@ stderrs are compared:
   n=1, at |tau|=3, at |tau|=8 (t = 256, the largest t whose type is a
   top byte of a Mersenne Twister word), at |tau|=9 (the ``choices``
   fallback), and at n=70,000, above the sampler's block of 2^16 points;
+- the pruned orbit enumeration at t = 8 and with d > n: ``verify
+  counting --tau p,q,r --max-n 10``, ``entropy-sweep --tau p,q,r --n
+  12``, ``entropy --tau p,q --n 6 --d 9 --format json``, ``phase majority
+  --tau p,q,r --n 24 --d 2`` and ``phase sweep --tau p,q --rule
+  below-sqrt --a 1 --n-values 16,64,128``;
 - inputs that a record's validation rejects, whose ``error:`` lines are
   compared: tuples with an entry above d or that are not admissible,
   vocabularies with a duplicate or a bad symbol, a pointed model at an
@@ -135,6 +140,16 @@ SAMPLING: list[Command] = [((), ("phase", "separation", "--tau", tau, "--n", str
                            for tau, n, d, trials in SEPARATION]
 
 
+ORBITS: list[Command] = [((), argv) for argv in (
+    ("verify", "counting", "--tau", "p,q,r", "--max-n", "10"),
+    ("entropy-sweep", "--tau", "p,q,r", "--n", "12"),
+    ("entropy", "--tau", "p,q", "--n", "6", "--d", "9", "--format", "json"),
+    ("phase", "majority", "--tau", "p,q,r", "--n", "24", "--d", "2"),
+    ("phase", "sweep", "--tau", "p,q", "--rule", "below-sqrt", "--a", "1",
+     "--n-values", "16,64,128"),
+)]
+
+
 GAME_P = ("game", "solve", "--tau", "p", "--d", "1", "--r", "3")
 REJECTED: list[Command] = [((), argv) for argv in (
     ("class-size", "--tau", "p,q", "--n", "4", "--d", "2", "--tuple", "3,0,0,0"),
@@ -168,7 +183,7 @@ def main(argv=None) -> int:
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     commands = list(dict.fromkeys(
         readme_commands() + workload_commands() + game_commands() + [GRID_N5] + EXACT
-        + ROWS + SAMPLING + REJECTED
+        + ROWS + SAMPLING + ORBITS + REJECTED
     ))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
