@@ -241,15 +241,15 @@ class _Report:
 _CLASS_COLUMNS = ["n", "d", "tuple", "size", "probability", "H_B_contrib"]
 
 
-def _class_rows(dist: distribution.ClassDistribution, entries) -> Iterator[dict]:
+def _class_rows(n: int, d: int, t: int, entries) -> Iterator[dict]:
     """One row per class entry; size / t^n is the correctly rounded float
     of the entry's exact probability, computed once per row."""
-    denom = dist.vocab.t**dist.n
+    denom = t**n
     for e in entries:
         p = e.size / denom
         yield {
-            "n": dist.n,
-            "d": dist.d,
+            "n": n,
+            "d": d,
             "tuple": _tuple_text(e.tup.entries),
             "size": str(e.size),
             "probability": _ftext(p),
@@ -278,15 +278,15 @@ def _cmd_tuples(args, vocab, caps) -> _Report:
 
 
 def _cmd_class_size(args, vocab, caps) -> _Report:
-    classes.check_enumeration_cap(args.n, args.d, vocab, caps)
-    dist = distribution.build_distribution(args.n, args.d, vocab)
-    entries = dist.entries
     if args.tuple is not None:
         tup = _parse_tuple(args.tuple, vocab, args.n, args.d)
-        entries = [e for e in entries if e.tup == tup]
+        entries = [distribution.ClassEntry(tup, classes.class_size(tup))]
+    else:
+        classes.check_enumeration_cap(args.n, args.d, vocab, caps)
+        entries = distribution.build_distribution(args.n, args.d, vocab).entries
     return _Report(
         "class-size", vocab, {"n": args.n, "d": args.d, "classes": len(entries)},
-        _CLASS_COLUMNS, _class_rows(dist, entries),
+        _CLASS_COLUMNS, _class_rows(args.n, args.d, vocab.t, entries),
     )
 
 
@@ -308,7 +308,7 @@ def _cmd_entropy(args, vocab, caps) -> _Report:
             "identity_target": args.n * len(vocab.symbols),
         },
         _CLASS_COLUMNS,
-        _class_rows(dist, dist.entries),
+        _class_rows(args.n, args.d, vocab.t, dist.entries),
     )
 
 
@@ -558,7 +558,9 @@ def _cmd_verify(args, vocab, caps) -> _Report:
     ok = True
     for left in sides:
         for right in sides:
-            for r in range(1, args.max_r + 1):
+            # largest budget first: the solver's first search leaves v (or
+            # "v > max_r") in its memo, so each smaller budget is a lookup
+            for r in range(args.max_r, 0, -1):
                 chk = game.check_game_formula_equivalence(
                     r, left, right, args.d, vocab, caps
                 )

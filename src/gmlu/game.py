@@ -58,7 +58,7 @@ class GamePosition(_GamePositionFields):
 
     @property
     def n(self) -> int | None:
-        for pm in self.left | self.right:
+        for pm in self.left or self.right:
             return pm.profile.n
         return None
 
@@ -302,6 +302,8 @@ class _Solver:
     flip images of the position.  It holds one entry per key, either the
     exact v or a proven lower bound "v > cap" left by a search that found
     nothing within cap; a later query with a larger cap searches again.
+    A sweep over budgets from the largest down is therefore answered from
+    the memo after its first query.
 
     Pointed profiles of one domain size are indexed once; sides become
     int bitmasks.
@@ -331,10 +333,11 @@ class _Solver:
         self._pair_cache: dict = {}
         self.memo: dict[int, int] = {}
 
-    def _byte_tables(self, flip: int) -> list[list[int]]:
+    def _byte_tables(self, flip: int) -> list[tuple[int, list[int]]]:
         """Per-byte lookup tables of the packed-position bit permutation
-        that xors every point type with ``flip``: the image of a packed
-        position x is the OR over bytes b of tables[b][byte b of x]."""
+        that xors every point type with ``flip``, as (shift, table) pairs:
+        the image of a packed position x is the OR over the pairs of
+        table[x >> shift & 255]."""
         t = self.vocab.t
         target = [
             self.pm_index[
@@ -344,10 +347,10 @@ class _Solver:
         ]
         target += [i + self._width for i in target]
         return [
-            [
+            (b, [
                 sum(1 << to for j, to in enumerate(target[b:b + 8]) if byte >> j & 1)
                 for byte in range(256)
-            ]
+            ])
             for b in range(0, len(target), 8)
         ]
 
@@ -358,7 +361,9 @@ class _Solver:
         packed = A | B << w
         key = min(packed, B | A << w)
         for tables in self._flip_tables:
-            image = sum(table[packed >> 8 * b & 255] for b, table in enumerate(tables))
+            image = 0
+            for shift, table in tables:
+                image |= table[packed >> shift & 255]
             key = min(key, image, image >> w | (image & self._left_mask) << w)
         return key << 1 | modal_made
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -44,7 +45,6 @@ def test_ten_symbols_enumerate_past_the_recursion_limit(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("tuples",), ("class-size",), ("entropy",), ("complexity",),
-    ("class-size", "--tuple", ",".join(["1"] + ["0"] * 1023)),
 ])
 def test_enumeration_cap_stops_a_row_report_before_it_builds(capsys, monkeypatch,
                                                             argv):
@@ -57,6 +57,23 @@ def test_enumeration_cap_stops_a_row_report_before_it_builds(capsys, monkeypatch
         "error: admissible-tuple entries 537395200 exceeds the cap 4194304; "
         "set GMLU_ENUMERATE_MAX_ENTRIES to raise it\n"
     ))
+
+
+def test_class_size_of_one_tuple_skips_the_enumeration(capsys, monkeypatch):
+    # the scale the enumeration cap refuses above: one class is still cheap,
+    # and a bad tuple there is a usage error
+    monkeypatch.setattr("gmlu.classes._admissible_entries", None)
+    tau = ",".join(f"s{i}" for i in range(10))
+    argv = ["class-size", "--tau", tau, "--n", "2", "--d", "1", "--format", "csv"]
+    assert main([*argv, "--tuple", ",".join(["1"] + ["0"] * 1023)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    (row,) = list(csv.DictReader(io.StringIO(out)))
+    assert (row["tuple"], row["size"]) == ("|".join(["1"] + ["0"] * 1023), "1")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tuple", ",".join(["0"] * 1024)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_import_generates_no_dataclass_code():
@@ -282,6 +299,17 @@ def test_verify_game_theorem(capsys):
         "--max-r", "4", "--max-side", "1",
     )
     assert payload["ok"] is True and payload["instances"] > 0
+
+
+def test_game_theorem_cap_names_the_max_r_asked_for(capsys):
+    # budgets are swept from the largest down, so the first instance
+    # already asks for the budget that exceeds the cap
+    assert main(["verify", "game-theorem", "--tau", "p", "--n", "2", "--d", "1",
+                 "--max-r", "9"]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: game resource 9 exceeds the cap 7; "
+        "set GMLU_GAME_MAX_RESOURCE to raise it\n"
+    ))
 
 
 def test_every_subcommand_roundtrips_as_json(capsys):

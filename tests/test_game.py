@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -552,3 +553,38 @@ def test_solver_successors_are_the_minimal_reference_successors():
                     assert set(found) == minimal, (pos, kind, k, swapped)
                     checked += 1
     assert checked > 1000
+
+
+def _flip_images(solver: _Solver, mask: int) -> list[int]:
+    """The image of a side under each flip f of the point types, f = 0
+    first, mapping every pointed profile through ``pm_index``."""
+    t = solver.vocab.t
+    images = []
+    for f in range(t):
+        image = 0
+        for i, pm in enumerate(solver.pms):
+            if mask >> i & 1:
+                counts = tuple(pm.profile.counts[j ^ f] for j in range(t))
+                image |= 1 << solver.pm_index[counts, pm.point_type ^ f]
+        images.append(image)
+    return images
+
+
+@pytest.mark.parametrize("symbols, n", [(("p",), 4), (("p", "q"), 2)])
+def test_memo_key_is_the_least_packed_form_over_swaps_and_flips(symbols, n):
+    """The memo key equals the least packed form over both orientations
+    and every flip image, computed without the byte tables, and it is the
+    same for the swapped position and for each flip image."""
+    rng = random.Random(7)
+    solver = _Solver(Vocabulary(symbols), n, 2)
+    w = len(solver.pms)
+    for _ in range(300):
+        A, B = rng.getrandbits(w), rng.getrandbits(w)
+        images = list(zip(_flip_images(solver, A), _flip_images(solver, B)))
+        least = min(min(X | Y << w, Y | X << w) for X, Y in images)
+        for modal in (False, True):
+            key = solver._key(A, B, modal)
+            assert key == least << 1 | modal, (symbols, A, B, modal)
+            assert solver._key(B, A, modal) == key
+            for X, Y in images:
+                assert solver._key(X, Y, modal) == key

@@ -17,7 +17,10 @@ stderrs are compared:
   game position under its four symmetries (swap the sides, swap p with
   !p, both, neither);
 - the n=5 game grid, ``verify game-theorem --tau p --n 5 --d 2 --max-r 5
-  --max-side 2`` under ``GMLU_GAME_MAX_N=5``;
+  --max-side 2`` under ``GMLU_GAME_MAX_N=5``, and the |tau|=2 grid, whose
+  memo keys take the least of three literal-flip images, ``verify
+  game-theorem --tau p,q --n 2 --d 1 --max-r 5 --max-side 2`` under
+  ``GMLU_GAME_MAX_SYMBOLS=2``;
 - exact search beyond the benchmark's n=12: ``complexity --tau p --n 14
   --d 7 --exact`` and ``verify monotone --tau p --n 14 --d 7 --mode
   exact`` under ``GMLU_EXACT_MAX_N=14 GMLU_EXACT_MAX_D=7``, ``complexity
@@ -99,9 +102,14 @@ def game_commands() -> list[Command]:
     return out
 
 
-GRID_N5: Command = ((("GMLU_GAME_MAX_N", "5"),),
-                    ("verify", "game-theorem", "--tau", "p", "--n", "5", "--d", "2",
-                     "--max-r", "5", "--max-side", "2"))
+GRIDS: list[Command] = [
+    ((("GMLU_GAME_MAX_N", "5"),),
+     ("verify", "game-theorem", "--tau", "p", "--n", "5", "--d", "2",
+      "--max-r", "5", "--max-side", "2")),
+    ((("GMLU_GAME_MAX_SYMBOLS", "2"),),
+     ("verify", "game-theorem", "--tau", "p,q", "--n", "2", "--d", "1",
+      "--max-r", "5", "--max-side", "2")),
+]
 
 N14 = (("GMLU_EXACT_MAX_N", "14"), ("GMLU_EXACT_MAX_D", "7"))
 EXACT: list[Command] = [
@@ -182,7 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     commands = list(dict.fromkeys(
-        readme_commands() + workload_commands() + game_commands() + [GRID_N5] + EXACT
+        readme_commands() + workload_commands() + game_commands() + GRIDS + EXACT
         + ROWS + SAMPLING + ORBITS + REJECTED
     ))
     differ = 0
