@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple
 
 from .combinatorics import stirling_r_assoc
 from .config import SearchCaps, check_cap
@@ -99,15 +98,6 @@ class AdmissibleTuple(SlotRecord):
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.entries) if e > 0)
-
-    def determined_count(self, i: int) -> int | None:
-        """The exact number of points of type i in every model of the class,
-        or None when the class leaves it open (several capped entries)."""
-        if self.entries[i] < self.d:
-            return self.entries[i]
-        if self.k_d == 1:
-            return self.n - (sum(self.entries) - self.entries[i])
-        return None
 
     def max_index(self) -> int:
         """Index of a type with the most realizing points (lowest index wins).
@@ -253,83 +243,3 @@ def class_size(tup: AdmissibleTuple) -> int:
     if k_d == 0:
         return size
     return size * math.factorial(k_d) * stirling_r_assoc(m, k_d, d)
-
-
-class ComparisonRecord(NamedTuple):
-    """Exact class sizes of a tuple and a coordinatewise-larger variant."""
-
-    base: AdmissibleTuple
-    other: AdmissibleTuple
-    base_size: int
-    other_size: int
-
-    @property
-    def strictly_increases(self) -> bool:
-        return self.base_size < self.other_size
-
-
-def check_one_more_element(tup: AdmissibleTuple, i: int) -> ComparisonRecord:
-    """Compare against the tuple with one more point of a type that stays
-    below d-1.  The strict increase is reported, not assumed: it needs n
-    large compared to d and the vocabulary."""
-    if not tup.entries[i] < tup.d - 1:
-        raise ValueError(f"entry {i} of {tup.entries} is not below d-1={tup.d - 1}")
-    entries = list(tup.entries)
-    entries[i] += 1
-    other = AdmissibleTuple(tuple(entries), tup.n, tup.d)
-    return ComparisonRecord(tup, other, class_size(tup), class_size(other))
-
-
-def check_one_more_d(tup: AdmissibleTuple, i: int) -> ComparisonRecord:
-    """Compare against the tuple whose i-th entry is raised to the cap d."""
-    if not tup.entries[i] < tup.d:
-        raise ValueError(f"entry {i} of {tup.entries} is already at the cap")
-    entries = list(tup.entries)
-    entries[i] = tup.d
-    other = AdmissibleTuple(tuple(entries), tup.n, tup.d)
-    return ComparisonRecord(tup, other, class_size(tup), class_size(other))
-
-
-class MonotonicityReport(NamedTuple):
-    n: int
-    d: int
-    pairs: tuple[ComparisonRecord, ...]
-    minimal_all_pass_n: int | None
-
-    @property
-    def failures(self) -> tuple[ComparisonRecord, ...]:
-        return tuple(rec for rec in self.pairs if not rec.strictly_increases)
-
-    @property
-    def all_pass(self) -> bool:
-        return not self.failures
-
-
-def _immediate_successor_pairs(n: int, d: int, vocab: Vocabulary):
-    for tup in enumerate_admissible(n, d, vocab):
-        for i in range(tup.t):
-            if tup.entries[i] < d and sum(tup.entries) < n:
-                entries = list(tup.entries)
-                entries[i] += 1
-                succ = AdmissibleTuple(tuple(entries), n, d)
-                yield ComparisonRecord(tup, succ, class_size(tup), class_size(succ))
-
-
-def check_class_size_monotonicity(
-    n: int, d: int, vocab: Vocabulary, sweep_limit: int | None = None
-) -> MonotonicityReport:
-    """Check |class| strictly grows along every immediate coordinatewise
-    step between admissible tuples, and sweep n upward to report the
-    first n from which all steps pass."""
-    pairs = tuple(_immediate_successor_pairs(n, d, vocab))
-    limit = sweep_limit if sweep_limit is not None else max(n, 4 * vocab.t * d)
-    # minimal n such that every n' from there to the sweep limit passes
-    minimal = None
-    for n2 in range(limit, d - 1, -1):
-        if all(
-            rec.strictly_increases for rec in _immediate_successor_pairs(n2, d, vocab)
-        ):
-            minimal = n2
-        else:
-            break
-    return MonotonicityReport(n, d, pairs, minimal)

@@ -21,8 +21,8 @@ from json import JSONEncoder
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import classes, combinatorics, complexity, distribution, game
-from .config import ScaleCapError, caps_from_env
-from .formulas import FormulaError, counting_depth
+from .config import caps_from_env
+from .formulas import counting_depth
 from .models import ModelProfile, PointedProfile
 from .vocab import Vocabulary
 
@@ -704,7 +704,7 @@ def main(argv=None) -> int:
         raise SystemExit(_usage_error(f"bad --tau {args.tau!r}: {exc}"))
     try:
         report = args.func(args, vocab, caps)
-    except (ScaleCapError, FormulaError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if sys.stdout is None:  # started with its descriptor closed

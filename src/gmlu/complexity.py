@@ -186,15 +186,6 @@ def min_cover_cost(graph: CoverGraph, caps: SearchCaps = DEFAULT_CAPS) -> int:
     return find_min_cover(graph, caps)[0]
 
 
-def representative_profile(tup: AdmissibleTuple) -> ModelProfile:
-    """The class member whose surplus points all take the designated
-    largest-coordinate type."""
-    j = tup.max_index()
-    counts = list(tup.entries)
-    counts[j] = tup.n - (sum(tup.entries) - tup.entries[j])
-    return ModelProfile(tuple(counts))
-
-
 class FormulaSearch:
     """Size-ordered enumeration of depth-bounded formulas over a fixed
     profile family, deduplicated by semantic signature.

@@ -64,13 +64,6 @@ class ClassDistribution(_ClassDistributionFields):
 
     Its instances keep a ``__dict__``, where ``entropies`` is cached."""
 
-    def max_entry(self) -> ClassEntry:
-        """Largest class; ties broken by lexicographic tuple order."""
-        return max(self.entries, key=lambda e: e.size)
-
-    def size_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(e.size for e in self.entries))
-
     @cached_property
     def entropies(self) -> tuple[float, float]:
         """Shannon and Boltzmann entropies, summed over the classes once."""
@@ -207,9 +200,8 @@ def _candidate_and_max(
     """The all-capped tuple (d, ..., d), or None when it is not
     admissible, and the largest class's tuple, each with its class size.
 
-    Among equally large classes the lexicographically first tuple wins,
-    as in ClassDistribution.max_entry: the smallest tuple of an orbit is
-    its representative sorted ascending.
+    Among equally large classes the lexicographically first tuple wins:
+    the smallest tuple of an orbit is its representative sorted ascending.
     """
     all_capped = (d,) * vocab.t
     candidate, candidate_size = None, 0
@@ -392,7 +384,6 @@ class MonotonePair(NamedTuple):
     larger_size: int
     smaller_complexity: int
     larger_complexity: int
-    ok: bool
 
 
 class MonotoneConnectionReport(NamedTuple):
@@ -455,6 +446,6 @@ def verify_monotone_connection(
                     if not ok:
                         failures.append(MonotonePair(
                             tuples[i], tuples[j], sizes[i], sizes[j],
-                            his[i], los[j], ok,
+                            his[i], los[j],
                         ))
     return MonotoneConnectionReport(n, d, mode, pair_count, tuple(failures))

@@ -97,11 +97,6 @@ def sat_types(f: Formula, profile: ModelProfile, vocab: Vocabulary) -> frozenset
     return rec(f)
 
 
-def count_satisfying(f: Formula, profile: ModelProfile, vocab: Vocabulary) -> int:
-    """Number of points of the model satisfying f."""
-    return sum(profile.counts[i] for i in sat_types(f, profile, vocab))
-
-
 def evaluate(profile: ModelProfile, f: Formula, vocab: Vocabulary) -> bool:
     """Global truth: f holds at every point of the model."""
     sat = sat_types(f, profile, vocab)

@@ -5,6 +5,8 @@ per point) and explicit point sets, never on count profiles or type
 subvectors, so agreement with the library is a genuine two-route check.
 Past the sizes brute force reaches, slow reference formulas stand in:
 the step-by-step multinomial and the class size built from it.
+``representative_profile`` names one model of a class, for tests that
+need a member rather than a count.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from itertools import combinations, product
 
 from gmlu.combinatorics import stirling_r_assoc
 from gmlu.formulas import And, BoxLt, BoxNeq, DiamondEq, DiamondGeq, Lit, Or
+from gmlu.models import ModelProfile
 from gmlu.vocab import Vocabulary
 
 
@@ -94,6 +97,15 @@ def reference_class_size(tup) -> int:
     if k_d == 0:
         return base
     return base * math.factorial(k_d) * stirling_r_assoc(m, k_d, tup.d)
+
+
+def representative_profile(tup) -> ModelProfile:
+    """The class member whose surplus points all take the first type with
+    the largest entry."""
+    counts = list(tup.entries)
+    j = counts.index(max(counts))
+    counts[j] += tup.n - sum(counts)
+    return ModelProfile(tuple(counts))
 
 
 def choices_counts(rng, n: int, t: int) -> list[int]:

@@ -199,8 +199,8 @@ def test_criterion_07_entropy_monotonicity():
                 else:
                     # identical partitions, so exactly equal class sizes;
                     # the float entropies may differ by summation order only
-                    assert (
-                        dists[d].size_multiset() == dists[d - 1].size_multiset()
+                    assert sorted(e.size for e in dists[d].entries) == sorted(
+                        e.size for e in dists[d - 1].entries
                     ), (vocab, n, d)
                     assert abs(shannons[d] - shannons[d - 1]) < 1e-9
     report(7, True, "H_S strictly rises to ceil(n/2) then is constant; H_B mirrors")
@@ -218,7 +218,8 @@ def test_criterion_08_majority_dichotomy():
         has_majority = {}
         for d in range(1, n + 1):
             dist = build_distribution(n, d, V1)
-            has_majority[d] = dist.max_entry().probability > half
+            best = max(dist.entries, key=lambda e: e.size)
+            has_majority[d] = best.probability > half
         for d in range(1, math.floor(n / 2 - MAJORITY_C1 * sqrt_n) + 1):
             assert has_majority[d], (n, d)
             majority_checked += 1
@@ -294,7 +295,8 @@ def test_criterion_10a_dominating_trend():
         probs[n] = _central_class_probability(n, d)
         if n <= 64:
             dist = build_distribution(n, d, V1)
-            assert dist.max_entry().probability == probs[n]
+            best = max(dist.entries, key=lambda e: e.size)
+            assert best.probability == probs[n]
     for row in dominating_class_sweep(rule, V1, grid):
         d = depths[row.n]
         assert row.d == d, (row.n, row.d, d)
@@ -326,7 +328,7 @@ def test_criterion_10b_vanishing_at_half_depth():
     n = 256
     d = math.ceil(n / 2)
     dist = build_distribution(n, d, V1)
-    top = dist.max_entry().probability
+    top = max(dist.entries, key=lambda e: e.size).probability
     central = Fraction(math.comb(n, n // 2), 2**n)
     ok = top < Fraction(6, 100) and abs(float(top) - 0.0499) <= 0.01
     report(

@@ -10,9 +10,6 @@ from gmlu.classes import (
     _admissible_entries,
     admissible_count,
     check_enumeration_cap,
-    check_class_size_monotonicity,
-    check_one_more_d,
-    check_one_more_element,
     class_size,
     enumerate_admissible,
     enumerate_orbits,
@@ -130,53 +127,51 @@ def test_class_size_is_symmetric_under_entry_permutation():
         assert class_size(permuted) == class_size(tup)
 
 
-def test_determined_count():
-    tup = AdmissibleTuple((1, 3), 10, 3)
-    assert tup.determined_count(0) == 1
-    assert tup.determined_count(1) == 9  # single capped entry, so pinned down
-    both = AdmissibleTuple((3, 3), 10, 3)
-    assert both.determined_count(0) is None
-
-
 def test_one_more_element():
-    rec = check_one_more_element(AdmissibleTuple((0, 3), 12, 3), 0)
-    assert (rec.base_size, rec.other_size) == (1, 12)
-    assert rec.strictly_increases
-    with pytest.raises(ValueError):
-        check_one_more_element(AdmissibleTuple((2, 3), 12, 3), 0)
+    base, other = AdmissibleTuple((0, 3), 12, 3), AdmissibleTuple((1, 3), 12, 3)
+    assert (class_size(base), class_size(other)) == (1, 12)
 
 
 def test_one_more_d():
-    rec = check_one_more_d(AdmissibleTuple((1, 2), 12, 2), 0)
-    assert rec.base_size == 12
-    assert rec.other_size == 2**12 - 2 * (1 + 12)  # both types at least twice
-    assert rec.strictly_increases
-    with pytest.raises(ValueError):
-        check_one_more_d(AdmissibleTuple((2, 2), 12, 2), 0)
+    base, other = AdmissibleTuple((1, 2), 12, 2), AdmissibleTuple((2, 2), 12, 2)
+    assert class_size(base) == 12
+    assert class_size(other) == 2**12 - 2 * (1 + 12)  # both types at least twice
+
+
+def _successor_sizes(n, d, vocab):
+    """Class sizes of each admissible tuple whose entries sum below n and
+    of each successor, one more point in an entry below d, keyed by the
+    two entry tuples."""
+    sizes = {}
+    for tup in enumerate_admissible(n, d, vocab):
+        if sum(tup.entries) == n:
+            continue
+        for i, e in enumerate(tup.entries):
+            if e < d:
+                up = tup.entries[:i] + (e + 1,) + tup.entries[i + 1:]
+                sizes[tup.entries, up] = (
+                    class_size(tup), class_size(AdmissibleTuple(up, n, d))
+                )
+    return sizes
+
+
+def _failing_steps(n, d, vocab):
+    return {pair for pair, (a, b) in _successor_sizes(n, d, vocab).items() if a >= b}
 
 
 def test_monotonicity_all_pairs_pass_at_n16():
-    report = check_class_size_monotonicity(16, 2, V1)
-    assert report.pairs and report.all_pass
+    assert _successor_sizes(16, 2, V1) and not _failing_steps(16, 2, V1)
 
 
 def test_monotonicity_example_pair():
-    report = check_class_size_monotonicity(3, 1, V1)
-    sizes = {
-        (rec.base.entries, rec.other.entries): (rec.base_size, rec.other_size)
-        for rec in report.pairs
-    }
-    assert sizes[((1, 0), (1, 1))] == (1, 6)
-    assert report.all_pass
+    assert _successor_sizes(3, 1, V1)[(1, 0), (1, 1)] == (1, 6)
+    assert not _failing_steps(3, 1, V1)
 
 
 def test_monotonicity_small_n_failure_is_reported():
-    vocab = Vocabulary(("p", "q"))
-    report = check_class_size_monotonicity(3, 1, vocab, sweep_limit=8)
-    bad = {(rec.base.entries, rec.other.entries) for rec in report.failures}
-    assert ((1, 1, 0, 0), (1, 1, 1, 0)) in bad  # both classes have 6 models
+    assert ((1, 1, 0, 0), (1, 1, 1, 0)) in _failing_steps(3, 1, V2)  # 6 and 6
     # n=4 still fails ((1,1,1,0) beats (1,1,1,1), 36 > 24); n=5 onward passes
-    assert report.minimal_all_pass_n == 5
+    assert [n for n in range(3, 9) if _failing_steps(n, 1, V2)] == [3, 4]
 
 
 def test_admissible_count_matches_the_enumeration():

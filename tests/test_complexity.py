@@ -10,7 +10,6 @@ from gmlu.complexity import (
     lower_bound,
     min_cover_cost,
     minimal_separating_size,
-    representative_profile,
     type_formula,
     upper_bound,
 )
@@ -18,6 +17,8 @@ from gmlu.config import ScaleCapError, SearchCaps
 from gmlu.formulas import MODAL_TYPES, format_formula, size
 from gmlu.models import ModelProfile, enumerate_profiles, evaluate, sat_types
 from gmlu.vocab import Vocabulary
+
+from oracles import representative_profile
 
 V1 = Vocabulary(("p",))
 V2 = Vocabulary(("p", "q"))

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from gmlu import distribution
-from gmlu.classes import AdmissibleTuple
+from gmlu.classes import AdmissibleTuple, class_size, enumerate_admissible
+from gmlu.complexity import upper_bound
 from gmlu.distribution import (
     ClassDistribution,
     ClassEntry,
@@ -127,9 +128,10 @@ def test_boltzmann_over_isomorphism_classes_is_expected_log_multinomial():
 def test_entropy_constant_from_half_n_as_partitions_coincide():
     for n in (2, 5, 6):
         pivot = math.ceil(n / 2)
-        base = build_distribution(n, pivot, V1).size_multiset()
+        base = sorted(e.size for e in build_distribution(n, pivot, V1).entries)
         for d in range(pivot, n + 1):
-            assert build_distribution(n, d, V1).size_multiset() == base
+            sizes = sorted(e.size for e in build_distribution(n, d, V1).entries)
+            assert sizes == base
 
 
 # -- phase constants and majority ------------------------------------------------
@@ -194,7 +196,7 @@ def test_orbit_reductions_match_per_tuple_reference():
     ties = 0
     for vocab, n, d in grids:
         dist = build_distribution(n, d, vocab)
-        best = dist.max_entry()
+        best = max(dist.entries, key=lambda e: e.size)
         ties += sum(e.size == best.size for e in dist.entries) > 1
         candidate = next(
             (e for e in dist.entries if e.tup.entries == (d,) * vocab.t), None
@@ -375,6 +377,39 @@ def test_monotone_comparable_pair_example():
     rep = verify_monotone_connection(n, d, V1, mode="bounds")
     pairs_exist = rep.pair_count > 0
     assert pairs_exist and rep.ok
+
+
+@pytest.mark.parametrize("n, d", [(30, 9), (40, 8)])
+def test_monotone_bounds_mode_matches_a_plain_pair_walk(monkeypatch, n, d):
+    """With a made-up lower bound some comparable pairs fail and some pass;
+    the report's pair count and failures equal a walk over all ordered
+    tuple pairs."""
+
+    def fake_lower(tup):
+        return sum(tup.entries) - 13
+
+    monkeypatch.setattr(distribution, "lower_bound", fake_lower)
+    rep = verify_monotone_connection(n, d, V1, mode="bounds")
+    tuples = enumerate_admissible(n, d, V1)
+    pairs = [
+        (a, b) for a in tuples for b in tuples
+        if all(x <= y for x, y in zip(a.entries, b.entries))
+        and sum(b.entries) - sum(a.entries) > comparability_constant(V1)
+    ]
+    failing = {
+        (a, b) for a, b in pairs
+        if not (upper_bound(a, V1).value < fake_lower(b)
+                and class_size(a) < class_size(b))
+    }
+    assert rep.pair_count == len(pairs)
+    assert 0 < len(failing) < len(pairs)
+    assert {(f.smaller, f.larger) for f in rep.failures} == failing
+    for f in rep.failures:
+        assert (f.smaller_size, f.larger_size) == (
+            class_size(f.smaller), class_size(f.larger)
+        )
+        assert f.smaller_complexity == upper_bound(f.smaller, V1).value
+        assert f.larger_complexity == fake_lower(f.larger)
 
 
 def test_monotone_mode_validation():

@@ -23,7 +23,7 @@ from gmlu.formulas import Lit
 from gmlu.models import ModelProfile, PointedProfile, pointed_profiles
 from gmlu.vocab import Vocabulary
 
-from oracles import LabeledGame, counts_of
+from oracles import LabeledGame, counts_of, representative_profile
 
 V1 = Vocabulary(("p",))
 
@@ -334,7 +334,7 @@ def test_game_recovers_exact_description_complexity():
     S separates a class representative from every other class equals the
     brute-force search value."""
     from gmlu.classes import enumerate_admissible
-    from gmlu.complexity import exact_complexity, representative_profile, upper_bound
+    from gmlu.complexity import exact_complexity, upper_bound
 
     for n in (1, 2, 3):
         for d in (1, 2):

@@ -27,6 +27,8 @@ stderrs are compared:
   --tau p,q --n 2 --d 2 --exact`` under ``GMLU_EXACT_MAX_SYMBOLS=2`` and
   ``complexity --tau p,q,r --n 1 --d 1 --exact`` under
   ``GMLU_EXACT_MAX_SYMBOLS=3``;
+- the monotone connection in bounds mode at |tau|=2 over 288,288
+  comparable pairs, ``verify monotone --tau p,q --n 48 --d 12``;
 - each row report in all three formats at small scale: ``tuples``,
   ``class-size`` (also with ``--tuple``), ``entropy``, ``complexity``
   (also with ``--exact --max-size 2``, whose ``exact`` column mixes
@@ -122,6 +124,10 @@ EXACT: list[Command] = [
      ("complexity", "--tau", "p,q,r", "--n", "1", "--d", "1", "--exact")),
 ]
 
+MONOTONE: list[Command] = [
+    ((), ("verify", "monotone", "--tau", "p,q", "--n", "48", "--d", "12")),
+]
+
 
 ROW_REPORTS = [
     ("tuples", "--tau", "p,q", "--n", "4", "--d", "2"),
@@ -191,7 +197,7 @@ def main(argv=None) -> int:
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     commands = list(dict.fromkeys(
         readme_commands() + workload_commands() + game_commands() + GRIDS + EXACT
-        + ROWS + SAMPLING + ORBITS + REJECTED
+        + MONOTONE + ROWS + SAMPLING + ORBITS + REJECTED
     ))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
