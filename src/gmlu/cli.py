@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import math
+import operator
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -35,8 +36,15 @@ def _ftext(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _tuple_text(entries) -> str:
-    return "|".join(map(str, entries))
+def _tuple_text(entries, text=str) -> str:
+    return "|".join(map(text, entries))
+
+
+def _entry_texts(n: int, d: int):
+    """``str`` of an entry of an (n, d)-admissible tuple, as a lookup in a
+    table of the texts of 0..min(n, d): no entry passes the cap d, nor the
+    sum n."""
+    return [str(i) for i in range(min(n, d) + 1)].__getitem__
 
 
 def _parse_tuple(text: str, vocab: Vocabulary, n: int, d: int) -> classes.AdmissibleTuple:
@@ -218,8 +226,7 @@ class _Report:
             writer = csv.writer(out, lineterminator="\n")
             if self.columns:
                 writer.writerow(self.columns)
-                for row in self.rows:
-                    writer.writerow([row[c] for c in self.columns])
+                writer.writerows(map(self._cells(), self.rows))
             else:
                 writer.writerow(sorted(self.scalars))
                 writer.writerow([self.scalars[k] for k in sorted(self.scalars)])
@@ -234,8 +241,16 @@ class _Report:
                 print(f"{key}: {self.scalars[key]}", file=out)
             if self.columns:
                 print("  ".join(self.columns), file=out)
+                cells = self._cells()
                 for row in self.rows:
-                    out.write("  ".join([str(row[c]) for c in self.columns]) + "\n")
+                    out.write("  ".join(map(str, cells(row))) + "\n")
+
+    def _cells(self):
+        """A function from a row to the tuple of its column values."""
+        if len(self.columns) == 1:  # itemgetter of one key returns the bare value
+            column = self.columns[0]
+            return lambda row: (row[column],)
+        return operator.itemgetter(*self.columns)
 
 
 _CLASS_COLUMNS = ["n", "d", "tuple", "size", "probability", "H_B_contrib"]
@@ -243,23 +258,32 @@ _CLASS_COLUMNS = ["n", "d", "tuple", "size", "probability", "H_B_contrib"]
 
 def _class_rows(n: int, d: int, t: int, entries) -> Iterator[dict]:
     """One row per class entry; size / t^n is the correctly rounded float
-    of the entry's exact probability, computed once per row."""
+    of the entry's exact probability.  A size's texts are computed once
+    per distinct size: permuting types keeps the size, so a few sizes
+    cover many classes."""
     denom = t**n
+    entry_text = _entry_texts(n, d)
+    size_texts = {}
     for e in entries:
-        p = e.size / denom
+        if (texts := size_texts.get(size := e.size)) is None:
+            p = size / denom
+            texts = size_texts[size] = (
+                str(size), _ftext(p), _ftext(p * math.log2(size))
+            )
         yield {
             "n": n,
             "d": d,
-            "tuple": _tuple_text(e.tup.entries),
-            "size": str(e.size),
-            "probability": _ftext(p),
-            "H_B_contrib": _ftext(p * math.log2(e.size)),
+            "tuple": _tuple_text(e.tup.entries, entry_text),
+            "size": texts[0],
+            "probability": texts[1],
+            "H_B_contrib": texts[2],
         }
 
 
 def _cmd_tuples(args, vocab, caps) -> _Report:
     classes.check_enumeration_cap(args.n, args.d, vocab, caps)
     tuples = classes.enumerate_admissible(args.n, args.d, vocab)
+    entry_text = _entry_texts(args.n, args.d)
     return _Report(
         "tuples",
         vocab,
@@ -267,7 +291,7 @@ def _cmd_tuples(args, vocab, caps) -> _Report:
         ["tuple", "sum", "capped_entries"],
         (
             {
-                "tuple": _tuple_text(t.entries),
+                "tuple": _tuple_text(t.entries, entry_text),
                 "sum": sum(t.entries),
                 "capped_entries": t.k_d,
             }

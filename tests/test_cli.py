@@ -6,12 +6,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gmlu.cli import _json_text, _write_json, main
+from gmlu import distribution
+from gmlu.cli import _Report, _class_rows, _json_text, _write_json, main
+from gmlu.vocab import Vocabulary
 
 
 def run(capsys, *argv):
@@ -127,6 +131,76 @@ def test_zero_row_report_prints_an_empty_list(capsys):
     assert code == 0
     assert '\n  "rows": [],\n' in out
     assert json.loads(out)["rows"] == []
+
+
+@pytest.mark.parametrize("tau,n,d", [("p,q", 24, 12), ("p,q,r", 6, 2)])
+def test_class_rows_match_a_per_entry_reference(tau, n, d):
+    vocab = Vocabulary.from_csv(tau)
+    entries = distribution.build_distribution(n, d, vocab).entries
+    rows = list(_class_rows(n, d, vocab.t, entries))
+    assert len(rows) == len(entries)
+    assert len({e.size for e in entries}) < len(entries)  # sizes repeat
+    assert max(max(e.tup.entries) for e in entries) >= min(n, d)
+    for row, e in zip(rows, entries):
+        p = float(Fraction(e.size, vocab.t**n))
+        assert row == {
+            "n": n,
+            "d": d,
+            "tuple": "|".join(map(str, e.tup.entries)),
+            "size": str(e.size),
+            "probability": "%.6g" % p,
+            "H_B_contrib": "%.6g" % (p * math.log2(e.size)),
+        }
+
+
+_HUGE_D_TEXT = """\
+# symbols: p  types: p, !p
+boltzmann: 1.18872
+classes: 4
+d: 1000000
+entropy_sum: 3.0
+identity_target: 3
+n: 3
+shannon: 1.81128
+n  d  tuple  size  probability  H_B_contrib
+3  1000000  0|3  1  0.125  0
+3  1000000  1|2  3  0.375  0.594361
+3  1000000  2|1  3  0.375  0.594361
+3  1000000  3|0  1  0.125  0
+"""
+
+_HUGE_D_TUPLES = json.dumps({
+    "command": "tuples",
+    "count": 4,
+    "d": 1000000,
+    "n": 3,
+    "rows": [{"capped_entries": 0, "sum": 3, "tuple": f"{i}|{3 - i}"} for i in range(4)],
+    "tuples": [{"d": 1000000, "entries": [i, 3 - i], "n": 3} for i in range(4)],
+    "vocabulary": {"symbols": ["p"], "types": ["p", "!p"]},
+}, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("entropy", "--tau", "p", "--n", "3", "--d", "1000000"), _HUGE_D_TEXT),
+    (("tuples", "--tau", "p", "--n", "3", "--d", "1000000", "--format", "json"),
+     _HUGE_D_TUPLES),
+], ids=["entropy", "tuples-json"])
+def test_entry_texts_do_not_grow_with_d(capsys, argv, expected):
+    tracemalloc.start()
+    try:
+        code, out = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, expected)
+    assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_one_column_table_prints_one_field_per_line(fmt):
+    out = io.StringIO()
+    _Report("x", None, {}, ["c"], [{"c": "ab"}]).emit(fmt, out)
+    assert out.getvalue() == "c\nab\n"
 
 
 # JSON values as the reports hold them, and the corners of the format:

@@ -35,6 +35,9 @@ stderrs are compared:
   ``2`` and ``"not-found"``), ``cover`` (also with no edge, so no row),
   ``verify counting`` and ``verify stirling`` (no vocabulary, bool
   columns).
+- row reports with two-digit entries, or with d far above n: ``tuples
+  --tau p --n 24 --d 12 --format json``, ``class-size --tau p --n 24 --d
+  12 --format json`` and ``entropy --tau p --n 3 --d 1000000``;
 - ``phase separation`` beyond the benchmark's |tau|=2: at |tau|=1 with
   n=1, at |tau|=3, at |tau|=8 (t = 256, the largest t whose type is a
   top byte of a Mersenne Twister word), at |tau|=9 (the ``choices``
@@ -143,6 +146,11 @@ ROW_REPORTS = [
 ]
 ROWS: list[Command] = [((), (*argv, "--format", fmt))
                        for argv in ROW_REPORTS for fmt in ("json", "csv", "text")]
+ROWS += [((), argv) for argv in (
+    ("tuples", "--tau", "p", "--n", "24", "--d", "12", "--format", "json"),
+    ("class-size", "--tau", "p", "--n", "24", "--d", "12", "--format", "json"),
+    ("entropy", "--tau", "p", "--n", "3", "--d", "1000000"),
+)]
 
 
 SEPARATION = [("p", 1, 1, 500), ("p,q,r", 12, 3, 3000),
