@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import math
 import operator
 import os
@@ -105,6 +104,14 @@ def _at_least(low: int, flag: str, many: bool = False):
         return values if many else values[0]
 
     return parse
+
+
+def _vocabulary(text: str) -> Vocabulary:
+    """argparse type of ``--tau``: a bad vocabulary is a usage error."""
+    try:
+        return Vocabulary.from_csv(text)
+    except ValueError as exc:
+        raise SystemExit(_usage_error(f"bad --tau {text!r}: {exc}"))
 
 
 def _finite(flag: str):
@@ -441,59 +448,64 @@ def _cmd_game(args, vocab, caps) -> _Report:
     return _Report("game", vocab, scalars)
 
 
-def _cmd_phase(args, vocab, caps) -> _Report:
-    if args.action == "constants":
-        consts = distribution.phase_constants(vocab)
-        return _Report(
-            "phase",
-            vocab,
+def _phase_constants(args, vocab, caps) -> _Report:
+    consts = distribution.phase_constants(vocab)
+    return _Report(
+        "phase",
+        vocab,
+        {
+            "action": "constants",
+            "t": consts.t,
+            "c1": _fnum(consts.c1),
+            "c2": _fnum(consts.c2),
+        },
+    )
+
+
+def _phase_majority(args, vocab, caps) -> _Report:
+    rep = distribution.majority_report(args.n, args.d, vocab)
+    return _Report(
+        "phase",
+        vocab,
+        {
+            "action": "majority",
+            "n": rep.n,
+            "d": rep.d,
+            "candidate_tuple": _tuple_text([args.d] * vocab.t),
+            "candidate_admissible": rep.candidate is not None,
+            "candidate_probability": _fnum(float(rep.candidate_probability)),
+            "candidate_probability_exact": str(rep.candidate_probability),
+            "max_tuple": _tuple_text(rep.max_tuple.entries),
+            "max_probability": _fnum(float(rep.max_probability)),
+            "has_majority": rep.has_majority,
+            "regime": rep.regime or "between-thresholds",
+        },
+    )
+
+
+def _phase_sweep(args, vocab, caps) -> _Report:
+    rule = distribution.make_depth_rule(args.rule, args.a, vocab)
+    rows = []
+    for row in distribution.dominating_class_sweep(rule, vocab, args.n_values):
+        rows.append(
             {
-                "action": "constants",
-                "t": consts.t,
-                "c1": _fnum(consts.c1),
-                "c2": _fnum(consts.c2),
-            },
+                "n": row.n,
+                "d": row.d,
+                "candidate_probability": _ftext(float(row.candidate_probability)),
+                "max_tuple": _tuple_text(row.max_tuple.entries),
+                "max_probability": _ftext(float(row.max_probability)),
+            }
         )
-    if args.action == "majority":
-        rep = distribution.majority_report(args.n, args.d, vocab)
-        return _Report(
-            "phase",
-            vocab,
-            {
-                "action": "majority",
-                "n": rep.n,
-                "d": rep.d,
-                "candidate_tuple": _tuple_text([args.d] * vocab.t),
-                "candidate_admissible": rep.candidate is not None,
-                "candidate_probability": _fnum(float(rep.candidate_probability)),
-                "candidate_probability_exact": str(rep.candidate_probability),
-                "max_tuple": _tuple_text(rep.max_tuple.entries),
-                "max_probability": _fnum(float(rep.max_probability)),
-                "has_majority": rep.has_majority,
-                "regime": rep.regime or "between-thresholds",
-            },
-        )
-    if args.action == "sweep":
-        rule = distribution.make_depth_rule(args.rule, args.a, vocab)
-        rows = []
-        for row in distribution.dominating_class_sweep(rule, vocab, args.n_values):
-            rows.append(
-                {
-                    "n": row.n,
-                    "d": row.d,
-                    "candidate_probability": _ftext(float(row.candidate_probability)),
-                    "max_tuple": _tuple_text(row.max_tuple.entries),
-                    "max_probability": _ftext(float(row.max_probability)),
-                }
-            )
-        return _Report(
-            "phase",
-            vocab,
-            {"action": "sweep", "rule": args.rule, "a": args.a},
-            ["n", "d", "candidate_probability", "max_tuple", "max_probability"],
-            rows,
-        )
-    # separation
+    return _Report(
+        "phase",
+        vocab,
+        {"action": "sweep", "rule": args.rule, "a": args.a},
+        ["n", "d", "candidate_probability", "max_tuple", "max_probability"],
+        rows,
+    )
+
+
+def _phase_separation(args, vocab, caps) -> _Report:
     value = distribution.estimate_separation_probability(
         args.n, args.d, vocab, args.trials, args.seed
     )
@@ -512,65 +524,70 @@ def _cmd_phase(args, vocab, caps) -> _Report:
     return _Report("phase", vocab, scalars)
 
 
-def _cmd_verify(args, vocab, caps) -> _Report:
-    if args.check == "counting":
-        rows = []
-        ok = True
-        for n in range(1, args.max_n + 1):
-            for d in range(1, n + 1):
-                total = sum(
-                    w * classes.class_size(rep)
-                    for rep, w in classes.enumerate_orbits(n, d, vocab)
+def _verify_counting(args, vocab, caps) -> _Report:
+    rows = []
+    ok = True
+    for n in range(1, args.max_n + 1):
+        for d in range(1, n + 1):
+            total = sum(
+                w * classes.class_size(rep)
+                for rep, w in classes.enumerate_orbits(n, d, vocab)
+            )
+            match = total == vocab.t**n
+            ok = ok and match
+            rows.append({"n": n, "d": d, "total": str(total), "ok": match})
+    return _Report(
+        "verify", vocab, {"check": "counting", "ok": ok},
+        ["n", "d", "total", "ok"], rows,
+    )
+
+
+def _verify_stirling(args, vocab, caps) -> _Report:
+    rows = []
+    ok = True
+    for m in range(1, args.max_m + 1):
+        for r in range(1, args.max_r + 1):
+            for n in range(m * r, args.max_n + 1):
+                chk = combinatorics.check_stirling_bounds(n, m, r)
+                growth_ok = True
+                if n >= m * r + 1:
+                    growth_ok = combinatorics.check_growth_bound(n, m, r).ok
+                good = chk.ok and growth_ok
+                ok = ok and good
+                rows.append(
+                    {
+                        "n": n, "m": m, "r": r,
+                        "value": str(chk.value),
+                        "bounds_ok": chk.ok,
+                        "growth_ok": growth_ok,
+                    }
                 )
-                match = total == vocab.t**n
-                ok = ok and match
-                rows.append({"n": n, "d": d, "total": str(total), "ok": match})
-        return _Report(
-            "verify", vocab, {"check": "counting", "ok": ok},
-            ["n", "d", "total", "ok"], rows,
-        )
-    if args.check == "stirling":
-        rows = []
-        ok = True
-        for m in range(1, args.max_m + 1):
-            for r in range(1, args.max_r + 1):
-                for n in range(m * r, args.max_n + 1):
-                    chk = combinatorics.check_stirling_bounds(n, m, r)
-                    growth_ok = True
-                    if n >= m * r + 1:
-                        growth_ok = combinatorics.check_growth_bound(n, m, r).ok
-                    good = chk.ok and growth_ok
-                    ok = ok and good
-                    rows.append(
-                        {
-                            "n": n, "m": m, "r": r,
-                            "value": str(chk.value),
-                            "bounds_ok": chk.ok,
-                            "growth_ok": growth_ok,
-                        }
-                    )
-        return _Report(
-            "verify", None, {"check": "stirling", "ok": ok},
-            ["n", "m", "r", "value", "bounds_ok", "growth_ok"], rows,
-        )
-    if args.check == "monotone":
-        rep = distribution.verify_monotone_connection(
-            args.n, args.d, vocab, args.mode, caps
-        )
-        return _Report(
-            "verify",
-            vocab,
-            {
-                "check": "monotone",
-                "mode": rep.mode,
-                "n": rep.n,
-                "d": rep.d,
-                "pairs": rep.pair_count,
-                "failures": len(rep.failures),
-                "ok": rep.ok,
-            },
-        )
-    # game-theorem
+    return _Report(
+        "verify", None, {"check": "stirling", "ok": ok},
+        ["n", "m", "r", "value", "bounds_ok", "growth_ok"], rows,
+    )
+
+
+def _verify_monotone(args, vocab, caps) -> _Report:
+    rep = distribution.verify_monotone_connection(
+        args.n, args.d, vocab, args.mode, caps
+    )
+    return _Report(
+        "verify",
+        vocab,
+        {
+            "check": "monotone",
+            "mode": rep.mode,
+            "n": rep.n,
+            "d": rep.d,
+            "pairs": rep.pair_count,
+            "failures": len(rep.failures),
+            "ok": rep.ok,
+        },
+    )
+
+
+def _verify_game_theorem(args, vocab, caps) -> _Report:
     from .models import pointed_profiles
     from itertools import combinations
 
@@ -616,49 +633,41 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default text)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    add = functools.partial(subparsers.add_parser, parents=[shared])
-    n_type, d_type = _at_least(1, "--n"), _at_least(1, "--d")
+    core = (("--tau", _vocabulary, "comma-separated symbols"),
+            ("--n", _at_least(1, "--n"), "domain size"),
+            ("--d", _at_least(1, "--d"), "counting depth"))
 
-    def common(p, need_n=True, need_d=True):
-        p.add_argument("--tau", required=True, help="comma-separated symbols")
-        if need_n:
-            p.add_argument("--n", type=n_type, required=True, help="domain size")
-        if need_d:
-            p.add_argument("--d", type=d_type, required=True, help="counting depth")
+    def add(name, func, under=subparsers, tau=True, n=True, d=True, **kw):
+        """A leaf parser that runs ``func``, with ``--format`` and, of
+        ``--tau``, ``--n`` and ``--d``, each one given True (required) or a
+        default; False leaves it out.  Options are spelled in full, so an
+        option a leaf lacks is never read as a longer one (``--n`` as
+        ``--n-values``)."""
+        p = under.add_parser(name, parents=[shared], allow_abbrev=False, **kw)
+        p.set_defaults(func=func)
+        for (flag, kind, text), value in zip(core, (tau, n, d)):
+            if value is not False:
+                p.add_argument(flag, type=kind, required=value is True,
+                               default=None if value is True else value, help=text)
+        return p
 
-    p = add("tuples", help="enumerate the admissible tuples")
-    common(p)
-    p.set_defaults(func=_cmd_tuples)
-
-    p = add("class-size", help="exact class sizes and probabilities")
-    common(p)
+    add("tuples", _cmd_tuples, help="enumerate the admissible tuples")
+    p = add("class-size", _cmd_class_size, help="exact class sizes and probabilities")
     p.add_argument("--tuple", help="restrict to one tuple, like 0,1")
-    p.set_defaults(func=_cmd_class_size)
+    add("entropy", _cmd_entropy, help="Shannon and Boltzmann entropy at one depth")
+    add("entropy-sweep", _cmd_entropy_sweep, d=False,
+        help="entropies for every depth 1..n")
 
-    p = add("entropy", help="Shannon and Boltzmann entropy at one depth")
-    common(p)
-    p.set_defaults(func=_cmd_entropy)
-
-    p = add("entropy-sweep", help="entropies for every depth 1..n")
-    common(p, need_d=False)
-    p.set_defaults(func=_cmd_entropy_sweep)
-
-    p = add("complexity", help="description-complexity bounds")
-    common(p)
+    p = add("complexity", _cmd_complexity, help="description-complexity bounds")
     p.add_argument("--tuple", help="restrict to one tuple, like 0,1")
     p.add_argument("--exact", action="store_true", help="run the brute-force search")
     p.add_argument("--max-size", type=_at_least(1, "--max-size"), default=None)
-    p.set_defaults(func=_cmd_complexity)
 
-    p = add("cover", help="cover graph and minimum cover cost")
-    common(p)
+    p = add("cover", _cmd_cover, help="cover graph and minimum cover cost")
     p.add_argument("--tuple", required=True)
-    p.set_defaults(func=_cmd_cover)
 
-    p = add("game", help="solve or trace the formula-size game")
+    p = add("game", _cmd_game, n=False, help="solve or trace the formula-size game")
     p.add_argument("action", choices=("solve", "trace"))
-    p.add_argument("--tau", required=True)
-    p.add_argument("--d", type=d_type, required=True)
     p.add_argument("--r", type=_at_least(0, "--r"), required=True,
                    help="resource budget")
     p.add_argument(
@@ -669,65 +678,51 @@ def build_parser() -> argparse.ArgumentParser:
         "--right", action="append",
         help="pointed model the formula must refute (repeatable)",
     )
-    p.set_defaults(func=_cmd_game)
 
-    p = add("phase", help="majority/dominance analysis of the distribution")
-    p.add_argument("action", choices=("constants", "majority", "sweep", "separation"))
-    p.add_argument("--tau", required=True)
-    p.add_argument("--n", type=n_type)
-    p.add_argument("--d", type=d_type)
-    p.add_argument("--rule", choices=("below-sqrt", "below-quarter", "above-sqrt"))
+    phase = subparsers.add_parser(
+        "phase", help="majority/dominance analysis of the distribution"
+    ).add_subparsers(dest="action", required=True)
+    add("constants", _phase_constants, phase, n=False, d=False)
+    add("majority", _phase_majority, phase)
+    p = add("sweep", _phase_sweep, phase, n=False, d=False)
+    p.add_argument("--rule", choices=("below-sqrt", "below-quarter", "above-sqrt"),
+                   required=True)
     p.add_argument("--a", type=_finite("--a"), default=1.0)
     p.add_argument("--n-values", type=_at_least(1, "--n-values", many=True),
-                   help="comma-separated domain sizes for sweep")
+                   required=True, help="comma-separated domain sizes")
+    p = add("separation", _phase_separation, phase)
     p.add_argument("--trials", type=_at_least(1, "--trials"), default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact", action="store_true",
                    help="also compute the exact separation probability")
-    p.set_defaults(func=_cmd_phase)
 
-    p = add("verify", help="re-run the verified identities")
-    p.add_argument("check", choices=("counting", "stirling", "monotone", "game-theorem"))
-    p.add_argument("--tau", default="p")
-    p.add_argument("--n", type=n_type, default=6)
-    p.add_argument("--d", type=d_type, default=2)
-    p.add_argument("--max-n", type=_at_least(1, "--max-n"), default=12)
+    verify = subparsers.add_parser(
+        "verify", help="re-run the verified identities"
+    ).add_subparsers(dest="check", required=True)
+    max_n, max_r = _at_least(1, "--max-n"), _at_least(1, "--max-r")
+    p = add("counting", _verify_counting, verify, tau="p", n=False, d=False)
+    p.add_argument("--max-n", type=max_n, default=12)
+    p = add("stirling", _verify_stirling, verify, tau=False, n=False, d=False)
+    p.add_argument("--max-n", type=max_n, default=12)
     p.add_argument("--max-m", type=_at_least(1, "--max-m"), default=4)
-    p.add_argument("--max-r", type=_at_least(1, "--max-r"), default=4)
-    p.add_argument("--max-side", type=_at_least(1, "--max-side"), default=1)
+    p.add_argument("--max-r", type=max_r, default=4)
+    p = add("monotone", _verify_monotone, verify, tau="p", n=6, d=2)
     p.add_argument("--mode", choices=("bounds", "exact"), default="bounds")
-    p.set_defaults(func=_cmd_verify)
+    p = add("game-theorem", _verify_game_theorem, verify, tau="p", d=2)
+    p.add_argument("--max-r", type=max_r, default=4)
+    p.add_argument("--max-side", type=_at_least(1, "--max-side"), default=1)
 
     return parser
 
 
-def _validate(args, parser):
-    if args.command == "phase":
-        needs = {
-            "majority": ("n", "d"),
-            "sweep": ("rule", "n_values"),
-            "separation": ("n", "d"),
-            "constants": (),
-        }
-        for field in needs[args.action]:
-            if getattr(args, field) is None:
-                parser.error(f"phase {args.action} requires --{field.replace('_', '-')}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(args, parser)
+    args = build_parser().parse_args(argv)
     try:
         caps = caps_from_env()
     except ValueError as exc:
         raise SystemExit(_usage_error(str(exc)))
     try:
-        vocab = Vocabulary.from_csv(args.tau)
-    except ValueError as exc:
-        raise SystemExit(_usage_error(f"bad --tau {args.tau!r}: {exc}"))
-    try:
-        report = args.func(args, vocab, caps)
+        report = args.func(args, getattr(args, "tau", None), caps)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, NamedTuple
 from .classes import (
     AdmissibleTuple,
     SlotRecord,
+    check_enumeration_cap,
     class_size,
     enumerate_admissible,
     enumerate_orbits,
@@ -411,10 +412,12 @@ def verify_monotone_connection(
     above t(2|tau|+1) - 1.  In bounds mode the check is
     upper(smaller) < lower(larger) and |smaller| < |larger|; in exact
     mode (tiny scale) it is the biconditional between the exact size
-    and exact complexity orders.
+    and exact complexity orders.  Like the row reports, it refuses past
+    ``caps.enumerate_max_entries`` before it lists the tuples.
     """
     if mode not in ("bounds", "exact"):
         raise ValueError(f"mode must be 'bounds' or 'exact', not {mode!r}")
+    check_enumeration_cap(n, d, vocab, caps)
     c_tau = comparability_constant(vocab)
     tuples = enumerate_admissible(n, d, vocab)
     sizes = [class_size(tup) for tup in tuples]

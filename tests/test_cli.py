@@ -494,6 +494,8 @@ def test_env_cap_override(capsys, monkeypatch):
       "--right", "1,2@0", "--right", "0,3@1"]),
     ("GMLU_COVER_MAX_SUPPORT", "1",
      ["cover", "--tau", "p", "--n", "2", "--d", "1", "--tuple", "1,1"]),
+    ("GMLU_ENUMERATE_MAX_ENTRIES", "10",
+     ["verify", "monotone", "--tau", "p", "--n", "26", "--d", "6"]),
 ])
 def test_scale_cap_error_names_its_override(capsys, monkeypatch, variable, env, argv):
     if env is not None:
@@ -553,6 +555,12 @@ def _assert_usage_error(capsys, argv) -> str:
 ])
 def test_bad_tau_exit_code_2(capsys, argv):
     assert "bad --tau" in _assert_usage_error(capsys, argv)
+
+
+def test_bad_tau_is_reported_before_a_bad_override(capsys, monkeypatch):
+    monkeypatch.setenv("GMLU_GAME_MAX_N", "x")
+    err = _assert_usage_error(capsys, ["phase", "constants", "--tau", "p,p"])
+    assert err.startswith("error: bad --tau 'p,p'")
 
 
 def test_pointed_counts_of_wrong_length_exit_code_2(capsys):
@@ -628,9 +636,25 @@ def test_depth_rule_overflow_is_one_error_line(capsys):
     (["tuples", "--tau", "p", "--n", "4"], "--d"),
     (["bogus"], "bogus"),
     (["game", "solve", "--tau", "p", "--d", "1"], "--r"),
+    (["verify", "game-theorem"], "--n"),
+    (["phase", "sweep", "--tau", "p", "--rule", "below-sqrt"], "--n-values"),
+    (["phase", "--format", "json", "constants", "--tau", "p"], "action"),
 ])
 def test_argparse_usage_error_is_one_line(capsys, argv, names):
     assert names in _assert_usage_error(capsys, argv)
+
+
+# Each phase and verify action accepts only the options it reads.
+@pytest.mark.parametrize("argv, flag", [
+    (["phase", "constants", "--tau", "p", "--n", "4"], "--n"),
+    (["phase", "sweep", "--tau", "p", "--rule", "below-sqrt", "--n-values", "16",
+      "--n", "64"], "--n"),
+    (["verify", "stirling", "--tau", "p"], "--tau"),
+    (["verify", "counting", "--mode", "exact"], "--mode"),
+])
+def test_option_the_action_does_not_read_exit_code_2(capsys, argv, flag):
+    err = _assert_usage_error(capsys, argv)
+    assert f"unrecognized arguments: {flag}" in err
 
 
 def test_game_trace_at_zero_budget_is_a_duplicator_win(capsys):
@@ -653,49 +677,59 @@ def test_readme_command_runs(capsys, argv):
     assert capsys.readouterr().out
 
 
-# Generated argv: every subcommand with its required options and a random
-# subset of the others, integers drawn from -1..4.  The exhaustive checks
-# are held at n <= 3 (``verify`` always gets --n) so each example stays fast.
+# Generated argv: every subcommand and action with its required options
+# and a random subset of the others, integers drawn from -1..4.  The
+# exhaustive checks are held at n <= 3 (``verify`` monotone and
+# game-theorem always get --n) so each example stays fast.
 _INT = st.integers(min_value=-1, max_value=4).map(str)
+_TAU = st.sampled_from(["p", "p,q", "p,p"])
 _TUPLE = st.sampled_from(["0,1", "1,1", "2,2", "3,0", "1,0,0,0", "x"])
 _MODEL = st.sampled_from(
     ["2,0@0", "1,1@0", "1,1@1", "0,2@1", "2,1@0", "1,2@1", "2,0"]
 )
-_COUNTED = {"--n": _INT, "--d": _INT}
-# command -> (actions, required options, other options); True marks a flag
+_COUNTED = {"--tau": _TAU, "--n": _INT, "--d": _INT}
+_VERIFIED = {"--n": st.integers(min_value=-1, max_value=3).map(str)}
+_GAME = ({"--tau": _TAU, "--d": _INT, "--r": _INT}, {})
+# command and action -> (required options, other options); True marks a flag
 _COMMANDS = {
-    "tuples": ((), _COUNTED, {}),
-    "class-size": ((), _COUNTED, {"--tuple": _TUPLE}),
-    "entropy": ((), _COUNTED, {}),
-    "entropy-sweep": ((), {"--n": _INT}, {}),
-    "complexity": ((), _COUNTED,
-                   {"--tuple": _TUPLE, "--exact": True, "--max-size": _INT}),
-    "cover": ((), {**_COUNTED, "--tuple": _TUPLE}, {}),
-    "game": (("solve", "trace"), {"--d": _INT, "--r": _INT}, {}),
-    "phase": (("constants", "majority", "sweep", "separation"), {}, {
-        **_COUNTED,
+    ("tuples",): (_COUNTED, {}),
+    ("class-size",): (_COUNTED, {"--tuple": _TUPLE}),
+    ("entropy",): (_COUNTED, {}),
+    ("entropy-sweep",): ({"--tau": _TAU, "--n": _INT}, {}),
+    ("complexity",): (_COUNTED,
+                      {"--tuple": _TUPLE, "--exact": True, "--max-size": _INT}),
+    ("cover",): ({**_COUNTED, "--tuple": _TUPLE}, {}),
+    ("game", "solve"): _GAME,
+    ("game", "trace"): _GAME,
+    ("phase", "constants"): ({"--tau": _TAU}, {}),
+    ("phase", "majority"): (_COUNTED, {}),
+    ("phase", "sweep"): ({
+        "--tau": _TAU,
         "--rule": st.sampled_from(["below-sqrt", "below-quarter", "above-sqrt"]),
-        "--a": _INT,
         "--n-values": st.lists(_INT, min_size=1, max_size=3).map(",".join),
-        "--trials": _INT, "--seed": _INT, "--exact": True,
+    }, {"--a": _INT}),
+    ("phase", "separation"): (_COUNTED,
+                              {"--trials": _INT, "--seed": _INT, "--exact": True}),
+    ("verify", "counting"): ({}, {"--tau": _TAU, "--max-n": _INT}),
+    ("verify", "stirling"): ({}, {"--max-n": _INT, "--max-m": _INT, "--max-r": _INT}),
+    ("verify", "monotone"): (_VERIFIED, {
+        "--tau": _TAU, "--d": _INT, "--mode": st.sampled_from(["bounds", "exact"]),
     }),
-    "verify": (("counting", "stirling", "monotone", "game-theorem"),
-               {"--n": st.integers(min_value=-1, max_value=3).map(str)},
-               {"--d": _INT, "--max-n": _INT, "--max-m": _INT, "--max-r": _INT,
-                "--max-side": _INT, "--mode": st.sampled_from(["bounds", "exact"])}),
+    ("verify", "game-theorem"): (_VERIFIED, {
+        "--tau": _TAU, "--d": _INT, "--max-r": _INT, "--max-side": _INT,
+    }),
 }
 
 
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    actions, required, optional = _COMMANDS[command]
-    argv = [command] + ([draw(st.sampled_from(actions))] if actions else [])
-    argv += ["--tau", draw(st.sampled_from(["p", "p,q", "p,p"]))]
+    required, optional = _COMMANDS[command]
+    argv = list(command)
     for flag, values in {**required, **optional}.items():
         if flag in required or draw(st.booleans()):
             argv += [flag] if values is True else [flag, draw(values)]
-    if command == "game":
+    if command[0] == "game":
         for flag in ("--left", "--right"):
             for model in draw(st.lists(_MODEL, max_size=3)):
                 argv += [flag, model]

@@ -47,6 +47,11 @@ stderrs are compared:
   12``, ``entropy --tau p,q --n 6 --d 9 --format json``, ``phase majority
   --tau p,q,r --n 24 --d 2`` and ``phase sweep --tau p,q --rule
   below-sqrt --a 1 --n-values 16,64,128``;
+- commands that leave options to a ``phase`` or ``verify`` action's own
+  defaults: bare ``verify monotone``, ``verify monotone --mode exact``,
+  bare ``verify stirling``, ``verify counting --max-n 6`` (no ``--tau``)
+  and ``phase sweep --tau p --rule below-quarter --n-values 16,64`` (no
+  ``--a``);
 - inputs that a record's validation rejects, whose ``error:`` lines are
   compared: tuples with an entry above d or that are not admissible,
   vocabularies with a duplicate or a bad symbol, a pointed model at an
@@ -172,6 +177,15 @@ ORBITS: list[Command] = [((), argv) for argv in (
 )]
 
 
+DEFAULTS: list[Command] = [((), argv) for argv in (
+    ("verify", "monotone"),
+    ("verify", "monotone", "--mode", "exact"),
+    ("verify", "stirling"),
+    ("verify", "counting", "--max-n", "6"),
+    ("phase", "sweep", "--tau", "p", "--rule", "below-quarter", "--n-values", "16,64"),
+)]
+
+
 GAME_P = ("game", "solve", "--tau", "p", "--d", "1", "--r", "3")
 REJECTED: list[Command] = [((), argv) for argv in (
     ("class-size", "--tau", "p,q", "--n", "4", "--d", "2", "--tuple", "3,0,0,0"),
@@ -205,7 +219,7 @@ def main(argv=None) -> int:
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     commands = list(dict.fromkeys(
         readme_commands() + workload_commands() + game_commands() + GRIDS + EXACT
-        + MONOTONE + ROWS + SAMPLING + ORBITS + REJECTED
+        + MONOTONE + ROWS + SAMPLING + ORBITS + DEFAULTS + REJECTED
     ))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
