@@ -5,7 +5,10 @@ bounds come from minimum-cost covers of a directed graph built from the
 class tuple; the cover cost is a certified obstruction in the formula
 size game.  A brute-force search over all depth-bounded formulas,
 deduplicated by semantic signature, supplies exact values at tiny scale
-and doubles as the separating-formula oracle for the game tests.
+and doubles as the separating-formula oracle for the game tests.  The
+exact value is decided below the canonical size by the search alone; the
+canonical size itself is settled by evaluating the canonical formula on
+every profile, so the search never builds that level just to find it.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ from .formulas import (
     Formula,
     Lit,
     Or,
+    counting_depth,
     format_formula,
     size,
 )
-from .models import ModelProfile, enumerate_profiles
+from .models import ModelProfile, enumerate_profiles, evaluate
 from .vocab import Vocabulary
 
 
@@ -361,10 +365,14 @@ def exact_complexity(
     caps: SearchCaps = DEFAULT_CAPS,
 ) -> int | None:
     """Exact description complexity by brute-force search, or None when no
-    defining formula exists within max_size.
+    defining formula exists within max_size (default: the canonical size).
 
     The search runs over all size-n profiles, so a hit is a formula that
-    is true on exactly the class members.  Enforced tiny scale.
+    is true on exactly the class members.  It stops one size below the
+    canonical formula's; if nothing smaller defines the class, the
+    canonical formula is checked directly (depth within d, true on exactly
+    the class members) and its size is the answer.  Should that check
+    fail, the search goes on to max_size.  Enforced tiny scale.
     """
     check_cap(caps, "exact_max_symbols", len(vocab.symbols), "exact-search |tau|")
     check_cap(caps, "exact_max_n", tup.n, "exact-search n")
@@ -374,8 +382,17 @@ def exact_complexity(
     for i, p in enumerate(search.profiles):
         if tuple_of_profile(p, tup.d) == tup:
             target |= 1 << i
-    limit = max_size if max_size is not None else upper_bound(tup, vocab).value
-    hit = search.first_outer_match(lambda mask: mask == target, limit)
+    ub = upper_bound(tup, vocab)
+    limit = max_size if max_size is not None else ub.value
+    is_target = target.__eq__
+    hit = search.first_outer_match(is_target, min(limit, ub.value - 1))
+    if hit is None and ub.value <= limit:
+        if counting_depth(ub.formula) <= tup.d and all(
+            evaluate(p, ub.formula, vocab) == bool(target >> i & 1)
+            for i, p in enumerate(search.profiles)
+        ):
+            return ub.value
+        hit = search.first_outer_match(is_target, limit)
     return hit[0] if hit else None
 
 

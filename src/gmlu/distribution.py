@@ -31,7 +31,6 @@ from .classes import (
 )
 from .complexity import exact_complexity, lower_bound, upper_bound
 from .config import DEFAULT_CAPS, SearchCaps
-from .models import ModelProfile
 from .vocab import Vocabulary
 
 
@@ -266,19 +265,6 @@ def _draw_counts(rng: random.Random, n: int, t: int) -> list[int]:
         for i in range(t):
             counts[i] += types.count(i)
     return counts
-
-
-def sample_profiles(
-    n: int, vocab: Vocabulary, count: int, seed: int
-) -> list[ModelProfile]:
-    """Uniform random models: each point's type drawn independently.
-
-    Deterministic for a fixed seed (Mersenne Twister via random.Random).
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    rng = random.Random(seed)
-    return [ModelProfile(tuple(_draw_counts(rng, n, vocab.t))) for _ in range(count)]
 
 
 def estimate_separation_probability(

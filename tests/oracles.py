@@ -6,7 +6,9 @@ subvectors, so agreement with the library is a genuine two-route check.
 Past the sizes brute force reaches, slow reference formulas stand in:
 the step-by-step multinomial and the class size built from it.
 ``representative_profile`` names one model of a class, for tests that
-need a member rather than a count.
+need a member rather than a count.  ``exact_complexity_by_search`` is
+the exact description complexity as the formula search alone decides
+it, level by level up to the canonical size.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import math
 from collections import Counter
 from itertools import combinations, product
 
+from gmlu.classes import tuple_of_profile
 from gmlu.combinatorics import stirling_r_assoc
+from gmlu.complexity import _search_for, upper_bound
 from gmlu.formulas import And, BoxLt, BoxNeq, DiamondEq, DiamondGeq, Lit, Or
 from gmlu.models import ModelProfile
 from gmlu.vocab import Vocabulary
@@ -106,6 +110,18 @@ def representative_profile(tup) -> ModelProfile:
     j = counts.index(max(counts))
     counts[j] += tup.n - sum(counts)
     return ModelProfile(tuple(counts))
+
+
+def exact_complexity_by_search(tup, vocab: Vocabulary, max_size: int | None = None):
+    """Smallest size of a formula defining the class, searching every level
+    up to max_size (default: the canonical size), or None; the canonical
+    formula itself is never evaluated."""
+    search = _search_for(vocab, tup.n, tup.d)
+    target = sum(1 << i for i, p in enumerate(search.profiles)
+                 if tuple_of_profile(p, tup.d) == tup)
+    limit = max_size if max_size is not None else upper_bound(tup, vocab).value
+    hit = search.first_outer_match(target.__eq__, limit)
+    return hit[0] if hit else None
 
 
 def choices_counts(rng, n: int, t: int) -> list[int]:

@@ -241,15 +241,15 @@ def test_criterion_08_majority_dichotomy():
 def test_criterion_09_monotone_connection():
     # exact mode: the comparability gap over t(2|tau|+1)-1 = 5 cannot occur
     # at n <= 5, so the biconditional holds there over an empty pair set;
-    # n = 12, 14 and 16 reach entry sums far enough apart to compare
+    # n = 12, 14, 16 and 18 reach entry sums far enough apart to compare
     exact_pairs = 0
     for n in range(1, 6):
         for d in range(1, min(n, 3) + 1):
             rep = verify_monotone_connection(n, d, V1, mode="exact")
             assert rep.ok
             exact_pairs += rep.pair_count
-    caps = SearchCaps(exact_max_n=16, exact_max_d=8)
-    for n, d in ((12, 6), (14, 7), (16, 8)):
+    caps = SearchCaps(exact_max_n=18, exact_max_d=9)
+    for n, d in ((12, 6), (14, 7), (16, 8), (18, 9)):
         rep = verify_monotone_connection(n, d, V1, "exact", caps)
         assert rep.ok, (n, d, rep.failures[:3])
         exact_pairs += rep.pair_count
@@ -267,7 +267,7 @@ def test_criterion_09_monotone_connection():
     report(
         9,
         True,
-        f"exact mode holds on {exact_pairs} comparable pairs (n <= 16); "
+        f"exact mode holds on {exact_pairs} comparable pairs (n <= 18); "
         f"bounds mode holds on {bounds_pairs} comparable pairs",
     )
 

@@ -1,5 +1,6 @@
 import pytest
 
+from gmlu import complexity
 from gmlu.classes import AdmissibleTuple, enumerate_admissible, tuple_of_profile
 from gmlu.complexity import (
     FormulaSearch,
@@ -14,11 +15,11 @@ from gmlu.complexity import (
     upper_bound,
 )
 from gmlu.config import ScaleCapError, SearchCaps
-from gmlu.formulas import MODAL_TYPES, format_formula, size
+from gmlu.formulas import MODAL_TYPES, DiamondEq, Lit, format_formula, size
 from gmlu.models import ModelProfile, enumerate_profiles, evaluate, sat_types
 from gmlu.vocab import Vocabulary
 
-from oracles import representative_profile
+from oracles import exact_complexity_by_search, representative_profile
 
 V1 = Vocabulary(("p",))
 V2 = Vocabulary(("p", "q"))
@@ -190,6 +191,48 @@ def test_exact_within_bounds_small_grid():
 def test_exact_not_found_below_lower_bound():
     tup = AdmissibleTuple((2, 2), 4, 2)
     assert exact_complexity(tup, V1, max_size=lower_bound(tup) - 1) is None
+
+
+def test_exact_equals_the_search_alone():
+    # the search stops below the canonical size and evaluates the canonical
+    # formula there; searching that level as well gives the same answers,
+    # with and without max_size, at, above and below the canonical size
+    grid = [(V1, n, d) for n in range(1, 13) for d in range(1, min(n, 6) + 1)]
+    grid += [(V2, n, d) for n in (1, 2) for d in range(1, n + 1)]
+    caps = SearchCaps(exact_max_symbols=2, exact_max_n=12, exact_max_d=6)
+    cases = at_canonical = 0
+    for vocab, n, d in grid:
+        for tup in enumerate_admissible(n, d, vocab):
+            ub = upper_bound(tup, vocab).value
+            for max_size in (None, ub - 1, ub, ub + 1, max(lower_bound(tup) - 1, 0)):
+                want = exact_complexity_by_search(tup, vocab, max_size)
+                got = exact_complexity(tup, vocab, max_size, caps)
+                assert got == want, (tup, max_size)
+                cases += 1
+                at_canonical += max_size is None and want == ub
+    assert (cases, at_canonical) == (1945, 365)
+
+
+def test_exact_falls_back_to_the_search_when_the_canonical_formula_fails(
+    monkeypatch,
+):
+    tup = AdmissibleTuple((1, 6), 12, 6)
+    caps = SearchCaps(exact_max_n=12, exact_max_d=6)
+    complexity._search_for.cache_clear()
+    assert exact_complexity(tup, V1, caps=caps) == 3
+    search = complexity._search_for(V1, 12, 6)
+    assert search.max_built == 2  # level 3 settled by evaluation alone
+    # same size, but it defines 6|1, not 1|6
+    wrong = DiamondEq(1, Lit("p", False))
+    real = complexity.canonical_formula
+    monkeypatch.setattr(
+        complexity,
+        "canonical_formula",
+        lambda t, v: wrong if t == tup else real(t, v),
+    )
+    assert upper_bound(tup, V1).value == size(wrong) == 3
+    assert exact_complexity(tup, V1, caps=caps) == 3
+    assert search.max_built == 3
 
 
 def test_exact_scale_cap():

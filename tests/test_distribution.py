@@ -21,7 +21,6 @@ from gmlu.distribution import (
     majority_report,
     make_depth_rule,
     phase_constants,
-    sample_profiles,
     shannon_entropy,
     verify_monotone_connection,
 )
@@ -226,21 +225,28 @@ def test_orbit_reductions_match_per_tuple_reference():
 # -- sampling ---------------------------------------------------------------------
 
 
+def draw_profiles(rng, n: int, vocab: Vocabulary, count: int) -> list[ModelProfile]:
+    """count uniform random models on n points, drawn as the sampler draws
+    each model of a pair."""
+    return [ModelProfile(tuple(distribution._draw_counts(rng, n, vocab.t)))
+            for _ in range(count)]
+
+
 def test_sampling_is_deterministic():
-    a = sample_profiles(10, V1, 50, seed=7)
-    b = sample_profiles(10, V1, 50, seed=7)
+    a = draw_profiles(random.Random(7), 10, V1, 50)
+    b = draw_profiles(random.Random(7), 10, V1, 50)
     assert a == b
-    assert a != sample_profiles(10, V1, 50, seed=8)
+    assert a != draw_profiles(random.Random(8), 10, V1, 50)
 
 
 def test_sampling_mean_concentration():
-    profiles = sample_profiles(100, V1, 10**5, seed=123)
+    profiles = draw_profiles(random.Random(123), 100, V1, 10**5)
     mean = sum(p.counts[0] for p in profiles) / len(profiles)
     assert abs(mean - 50) <= 3 * 5  # within 3 per-sample sigma of n/t
 
 
 def test_sampling_unit_profiles():
-    for profile in sample_profiles(1, V2, 20, seed=0):
+    for profile in draw_profiles(random.Random(0), 1, V2, 20):
         assert sorted(profile.counts) == [0, 0, 0, 1]
 
 
@@ -249,7 +255,7 @@ def test_sampled_frequencies_match_exact_probabilities():
     dist = build_distribution(n, d, V1)
     freq = Counter(
         tuple(min(c, d) for c in p.counts)
-        for p in sample_profiles(n, V1, trials, seed=2024)
+        for p in draw_profiles(random.Random(2024), n, V1, trials)
     )
     for entry in dist.entries:
         p = float(entry.probability)
@@ -303,8 +309,9 @@ def test_sampling_matches_the_choices_draw_and_its_generator_state(monkeypatch):
         t = vocab.t
         _KeptRandom.made.clear()
         sampled = estimate_separation_probability(n, d, vocab, trials, seed=n + k)
-        profiles = sample_profiles(n, vocab, trials, seed=n + k)
-        used, profile_rng = _KeptRandom.made
+        (used,) = _KeptRandom.made
+        profile_rng = _Random(n + k)
+        profiles = draw_profiles(profile_rng, n, vocab, trials)
 
         ref = _Random(n + k)
         assert sampled == choices_separation(n, d, t, trials, ref), (n, k)

@@ -23,8 +23,12 @@ stderrs are compared:
   ``GMLU_GAME_MAX_SYMBOLS=2``;
 - exact search beyond the benchmark's n=12: ``complexity --tau p --n 14
   --d 7 --exact`` and ``verify monotone --tau p --n 14 --d 7 --mode
-  exact`` under ``GMLU_EXACT_MAX_N=14 GMLU_EXACT_MAX_D=7``, ``complexity
-  --tau p,q --n 2 --d 2 --exact`` under ``GMLU_EXACT_MAX_SYMBOLS=2`` and
+  exact`` under ``GMLU_EXACT_MAX_N=14 GMLU_EXACT_MAX_D=7``, the same two
+  at n=16, d=8 under ``GMLU_EXACT_MAX_N=16 GMLU_EXACT_MAX_D=8`` (where
+  the canonical level, which the search leaves to evaluation, is the
+  costliest), ``complexity --tau p,q --n 2 --d 2 --exact`` and
+  ``complexity --tau p,q --n 3 --d 1 --exact`` (whose hardest class is
+  found below its canonical size) under ``GMLU_EXACT_MAX_SYMBOLS=2``, and
   ``complexity --tau p,q,r --n 1 --d 1 --exact`` under
   ``GMLU_EXACT_MAX_SYMBOLS=3``;
 - the monotone connection in bounds mode at |tau|=2 over 288,288
@@ -121,13 +125,18 @@ GRIDS: list[Command] = [
       "--max-r", "5", "--max-side", "2")),
 ]
 
-N14 = (("GMLU_EXACT_MAX_N", "14"), ("GMLU_EXACT_MAX_D", "7"))
 EXACT: list[Command] = [
-    (N14, ("complexity", "--tau", "p", "--n", "14", "--d", "7", "--exact")),
-    (N14, ("verify", "monotone", "--tau", "p", "--n", "14", "--d", "7",
-           "--mode", "exact")),
+    ((("GMLU_EXACT_MAX_N", str(n)), ("GMLU_EXACT_MAX_D", str(d))), argv)
+    for n, d in ((14, 7), (16, 8))
+    for argv in (("complexity", "--tau", "p", "--n", str(n), "--d", str(d), "--exact"),
+                 ("verify", "monotone", "--tau", "p", "--n", str(n), "--d", str(d),
+                  "--mode", "exact"))
+]
+EXACT += [
     ((("GMLU_EXACT_MAX_SYMBOLS", "2"),),
      ("complexity", "--tau", "p,q", "--n", "2", "--d", "2", "--exact")),
+    ((("GMLU_EXACT_MAX_SYMBOLS", "2"),),
+     ("complexity", "--tau", "p,q", "--n", "3", "--d", "1", "--exact")),
     ((("GMLU_EXACT_MAX_SYMBOLS", "3"),),
      ("complexity", "--tau", "p,q,r", "--n", "1", "--d", "1", "--exact")),
 ]
