@@ -223,23 +223,39 @@ def enumerate_orbits(
     return out
 
 
-def class_size(tup: AdmissibleTuple) -> int:
+class FactorialMemo(dict):
+    """k! for each k asked for, computed once on first use.
+
+    A report that sizes many classes of one n makes one and passes it to
+    every class_size call, so n! and each entry's factorial are computed
+    once per report, and only for the k the report reads."""
+
+    def __missing__(self, k: int) -> int:
+        self[k] = value = math.factorial(k)
+        return value
+
+
+def class_size(tup: AdmissibleTuple, factorials: FactorialMemo | None = None) -> int:
     """Exact number of size-n models in the class.
 
     Pick the points for each exactly-specified type, leaving m points to
     the capped types: n! / (m! * prod of e! over the entries e < d).
     Split those m into one block of size >= d per capped type, and assign
     capped types to blocks.  With no capped entry m is 0 and both
-    partition factors degenerate to 1.
+    partition factors degenerate to 1.  The factorials come from
+    ``factorials``, or from a memo of this call's own when none is given.
     """
+    if factorials is None:
+        factorials = FactorialMemo()
     n, d, entries = tup.n, tup.d, tup.entries
     k_d = entries.count(d)
     m = n - sum(entries) + k_d * d
-    denominator = math.factorial(m)
+    denominator = 1
     for e in entries:
         if e < d:
-            denominator *= math.factorial(e)
-    size = math.factorial(n) // denominator
+            denominator *= factorials[e]
+    # m! is the largest factor, so it multiplies in last
+    size = factorials[n] // (denominator * factorials[m])
     if k_d == 0:
         return size
-    return size * math.factorial(k_d) * stirling_r_assoc(m, k_d, d)
+    return size * factorials[k_d] * stirling_r_assoc(m, k_d, d)

@@ -528,9 +528,10 @@ def _verify_counting(args, vocab, caps) -> _Report:
     rows = []
     ok = True
     for n in range(1, args.max_n + 1):
+        factorials = classes.FactorialMemo()
         for d in range(1, n + 1):
             total = sum(
-                w * classes.class_size(rep)
+                w * classes.class_size(rep, factorials)
                 for rep, w in classes.enumerate_orbits(n, d, vocab)
             )
             match = total == vocab.t**n
@@ -599,14 +600,20 @@ def _verify_game_theorem(args, vocab, caps) -> _Report:
     ok = True
     for left in sides:
         for right in sides:
-            # largest budget first: the solver's first search leaves v (or
-            # "v > max_r") in its memo, so each smaller budget is a lookup
-            for r in range(args.max_r, 0, -1):
-                chk = game.check_game_formula_equivalence(
-                    r, left, right, args.d, vocab, caps
-                )
-                checked += 1
-                ok = ok and chk.agree
+            # one formula search per position, at max_r: a formula of size
+            # at most r separates iff the least one found has size at most
+            # r.  Largest budget first, so the solver's first search leaves
+            # v (or "v > max_r") in its memo and each smaller one is a lookup.
+            chk = game.check_game_formula_equivalence(
+                args.max_r, left, right, args.d, vocab, caps
+            )
+            ok = ok and chk.agree
+            least = chk.separating_size
+            for r in range(args.max_r - 1, 0, -1):
+                pos = game.GamePosition(r, left, right, False)
+                s_wins = game.solve(pos, args.d, vocab, caps) == game.S_WINS
+                ok = ok and s_wins == (least is not None and least <= r)
+            checked += args.max_r
     return _Report(
         "verify",
         vocab,

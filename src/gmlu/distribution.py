@@ -19,10 +19,12 @@ import random
 from collections import Counter
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple
 
 from .classes import (
     AdmissibleTuple,
+    FactorialMemo,
     SlotRecord,
     check_enumeration_cap,
     class_size,
@@ -74,8 +76,9 @@ def build_distribution(n: int, d: int, vocab: Vocabulary) -> ClassDistribution:
     denom = vocab.t**n
     entries = []
     total = 0
+    factorials = FactorialMemo()
     for tup in enumerate_admissible(n, d, vocab):
-        sz = class_size(tup)
+        sz = class_size(tup, factorials)
         total += sz
         entries.append(ClassEntry(tup, sz))
     if total != denom:
@@ -90,7 +93,9 @@ def _orbit_table(
 ) -> list[tuple[AdmissibleTuple, int, int]]:
     """(representative, multiplicity, class size) for every permutation
     orbit of (n, d)-admissible tuples; see classes.enumerate_orbits."""
-    table = [(rep, w, class_size(rep)) for rep, w in enumerate_orbits(n, d, vocab)]
+    factorials = FactorialMemo()
+    table = [(rep, w, class_size(rep, factorials))
+             for rep, w in enumerate_orbits(n, d, vocab)]
     total = sum(w * size for _, w, size in table)
     if total != vocab.t**n:
         raise AssertionError(
@@ -106,16 +111,18 @@ def _entropies(
     size) pairs over the model count ``denom``.
 
     Each term depends only on its pair, and fsum is correctly rounded, so
-    the same multiset of pairs gives the same floats in any order.
+    the same multiset of pairs gives the same floats in any order.  Equal
+    pairs give equal terms, so each distinct pair's terms are computed
+    once and fed to fsum as often as the pair occurs, not stored per class.
     """
     log_denom = math.log2(denom)
-    shannon, boltzmann = [], []
-    for w, size in weighted_sizes:
+    terms = []
+    for (w, size), count in Counter(weighted_sizes).items():
         p = w * size / denom
         log_size = math.log2(size)
-        shannon.append(p * (log_denom - log_size))
-        boltzmann.append(p * log_size)
-    return math.fsum(shannon), math.fsum(boltzmann)
+        terms.append((p * (log_denom - log_size), p * log_size, count))
+    return (math.fsum(chain.from_iterable(repeat(s, c) for s, _, c in terms)),
+            math.fsum(chain.from_iterable(repeat(b, c) for _, b, c in terms)))
 
 
 def boltzmann_entropy(dist: ClassDistribution) -> float:
@@ -247,8 +254,14 @@ def majority_report(n: int, d: int, vocab: Vocabulary) -> MajorityReport:
 # For t = 2^k <= 256, floor(random() * t) is the top k bits of the first of the
 # two 32-bit Mersenne Twister words random() consumes; getrandbits(64 * m) takes
 # the same 2m words, lowest first, so that word's top byte is byte 3 of 8.
+# The word stream does not depend on how it is chunked into calls.
 _TOP_BITS = {1 << k: bytes(b >> (8 - k) for b in range(256)) for k in range(1, 9)}
-_BLOCK = 1 << 16  # points per getrandbits call, so memory stays fixed in n
+_BLOCK = 1 << 12  # points per getrandbits call, so memory stays fixed in n
+
+
+def _draw_types(rng: random.Random, m: int, table: bytes) -> bytes:
+    """The types of the next m uniform points, one byte each."""
+    return rng.getrandbits(64 * m).to_bytes(8 * m, "little")[3::8].translate(table)
 
 
 def _draw_counts(rng: random.Random, n: int, t: int) -> list[int]:
@@ -260,8 +273,7 @@ def _draw_counts(rng: random.Random, n: int, t: int) -> list[int]:
         return [counts[i] for i in range(t)]
     counts = [0] * t
     for start in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - start)
-        types = rng.getrandbits(64 * m).to_bytes(8 * m, "little")[3::8].translate(table)
+        types = _draw_types(rng, min(_BLOCK, n - start), table)
         for i in range(t):
             counts[i] += types.count(i)
     return counts
@@ -272,16 +284,35 @@ def estimate_separation_probability(
 ) -> float:
     """Sampled probability that two independent uniform models land in
     different classes, decided by tuple equality (the class bijection
-    makes this exact per pair)."""
+    makes this exact per pair).
+
+    Each trial draws model a's n points, then model b's.  When a trial's
+    2n points fit in a block, whole trials are drawn a block at a time and
+    each model's counts are read off its slice of the block."""
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = random.Random(seed)
     t = vocab.t
+    table = _TOP_BITS.get(t)
     separable = 0
-    for _ in range(trials):
-        a = _draw_counts(rng, n, t)  # model a's points, then model b's
-        b = _draw_counts(rng, n, t)
-        separable += [min(c, d) for c in a] != [min(c, d) for c in b]
+    if table is None or not 0 < n <= _BLOCK // 2:
+        for _ in range(trials):
+            a = _draw_counts(rng, n, t)
+            b = _draw_counts(rng, n, t)
+            separable += [min(c, d) for c in a] != [min(c, d) for c in b]
+        return separable / trials
+    per_block = _BLOCK // (2 * n)
+    for first in range(0, trials, per_block):
+        m = 2 * n * min(per_block, trials - first)
+        types = _draw_types(rng, m, table)
+        for a in range(0, m, 2 * n):
+            b = a + n
+            for i in range(t):
+                ca, cb = types.count(i, a, b), types.count(i, b, b + n)
+                # the capped counts min(ca, d) and min(cb, d) differ
+                if ca != cb and min(ca, cb) < d:
+                    separable += 1
+                    break
     return separable / trials
 
 
@@ -406,7 +437,8 @@ def verify_monotone_connection(
     check_enumeration_cap(n, d, vocab, caps)
     c_tau = comparability_constant(vocab)
     tuples = enumerate_admissible(n, d, vocab)
-    sizes = [class_size(tup) for tup in tuples]
+    factorials = FactorialMemo()
+    sizes = [class_size(tup, factorials) for tup in tuples]
     if mode == "exact":
         his = los = [exact_complexity(tup, vocab, caps=caps) for tup in tuples]
     else:

@@ -9,6 +9,7 @@ under a modality) the point is irrelevant.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .formulas import And, Formula, Lit, Or
@@ -24,9 +25,11 @@ class _ModelProfileFields(NamedTuple):
 
 
 class ModelProfile(_ModelProfileFields):
-    """A model of size n up to isomorphism: counts[i] points of type i."""
+    """A model of size n up to isomorphism: counts[i] points of type i.
 
-    __slots__ = ()
+    Its instances keep a ``__dict__``, where ``n`` is cached on first
+    read.  Attributes stay read-only, and pickling leaves the cache out,
+    so a profile pickles as its counts alone."""
 
     def __new__(cls, counts: tuple[int, ...]):
         if not counts or any(c < 0 for c in counts):
@@ -35,9 +38,15 @@ class ModelProfile(_ModelProfileFields):
             raise ValueError("a model needs at least one point")
         return super().__new__(cls, counts)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(self.counts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __getstate__(self):
+        return None
 
     def realized_types(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.counts) if c > 0)

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from collections import Counter
 
@@ -7,6 +8,7 @@ import pytest
 from gmlu import distribution
 from gmlu.classes import (
     AdmissibleTuple,
+    FactorialMemo,
     _admissible_entries,
     admissible_count,
     check_enumeration_cap,
@@ -110,6 +112,41 @@ def test_class_size_matches_the_reference_formula():
     for vocab, n, d in ((V3, 12, 3), (V2, 64, 16), (V2, 24, 10), (V1, 256, 128)):
         for t in enumerate_admissible(n, d, vocab):
             assert class_size(t) == reference_class_size(t), t
+
+
+def test_class_size_with_a_shared_memo_matches_the_plain_call():
+    for vocab, n, d in ((V1, 40, 7), (V2, 24, 6), (V3, 12, 3)):
+        memo = FactorialMemo()
+        for t in enumerate_admissible(n, d, vocab):
+            assert class_size(t, memo) == class_size(t), t
+        assert all(value == math.factorial(k) for k, value in memo.items())
+
+
+def _factorials_read(tup):
+    """The k whose k! the class-size formula reads for this tuple."""
+    n, d, entries = tup.n, tup.d, tup.entries
+    k_d = entries.count(d)
+    keys = {n, n - sum(entries) + k_d * d} | {e for e in entries if e < d}
+    return keys | {k_d} if k_d else keys
+
+
+def test_build_distribution_makes_one_memo_of_the_factorials_it_reads(monkeypatch):
+    memos = []
+
+    def spy(tup, factorials=None):
+        memos.append(factorials)
+        return class_size(tup, factorials)
+
+    monkeypatch.setattr(distribution, "class_size", spy)
+    for vocab, n, d in ((V2, 24, 6), (V3, 12, 3), (V1, 5000, 1)):
+        memos.clear()
+        dist = distribution.build_distribution(n, d, vocab)
+        memo = memos[0]
+        assert isinstance(memo, FactorialMemo)
+        assert all(m is memo for m in memos) and len(memos) == len(dist.entries)
+        read = set().union(*(_factorials_read(e.tup) for e in dist.entries))
+        assert set(memo) == read and len(memo) <= n + 1
+    assert sorted(memo) == [0, 1, 2, 5000]
 
 
 def test_partition_identity():

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gmlu import distribution
+from gmlu import distribution, game
 from gmlu.cli import _Report, _class_rows, _json_text, _write_json, main
 from gmlu.vocab import Vocabulary
 
@@ -373,6 +373,43 @@ def test_verify_game_theorem(capsys):
         "--max-r", "4", "--max-side", "1",
     )
     assert payload["ok"] is True and payload["instances"] > 0
+
+
+def test_game_theorem_searches_once_per_position(capsys, monkeypatch):
+    searches = []
+    search = game.minimal_separating_size
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(game, "minimal_separating_size", counted)
+    payload = run_json(
+        capsys, "verify", "game-theorem", "--tau", "p", "--n", "2", "--d", "1",
+        "--max-r", "4", "--max-side", "1",
+    )
+    # sides: the empty one and the 4 pointed models on 2 points; a position
+    # with no model is settled without a search
+    assert payload["instances"] == 5 * 5 * 4
+    assert len(searches) == 5 * 5 - 1
+    assert {args[-1] for args in searches} == {4}
+
+
+def test_least_separating_size_within_max_r_settles_each_budget():
+    # what verify game-theorem relies on: a formula of size at most r
+    # separates iff the least one found within max_r has size at most r
+    v1 = Vocabulary(("p",))
+    from gmlu.models import pointed_profiles
+
+    sides = [frozenset()] + [frozenset([pm]) for pm in pointed_profiles(3, v1)]
+    for left in sides:
+        for right in sides:
+            least = game.check_game_formula_equivalence(
+                5, left, right, 2, v1).separating_size
+            for r in range(1, 5):
+                found = game.check_game_formula_equivalence(
+                    r, left, right, 2, v1).separating_size
+                assert (found is not None) == (least is not None and least <= r)
 
 
 def test_game_theorem_cap_names_the_max_r_asked_for(capsys):

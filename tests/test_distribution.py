@@ -92,6 +92,18 @@ def test_entropy_identity_everywhere():
                 assert abs(total - n * len(vocab.symbols)) < 1e-9
 
 
+def test_entropies_are_the_fsum_of_the_per_class_terms():
+    # the reduction feeds each distinct class size's terms to fsum once per
+    # class; the reference stores one term per class
+    for vocab, n, d in ((V1, 40, 7), (V2, 24, 6), (Vocabulary(("p", "q", "r")), 12, 3)):
+        dist = build_distribution(n, d, vocab)
+        denom = vocab.t**n
+        log_denom = math.log2(denom)
+        shannon = [e.size / denom * (log_denom - math.log2(e.size)) for e in dist.entries]
+        boltzmann = [e.size / denom * math.log2(e.size) for e in dist.entries]
+        assert dist.entropies == (math.fsum(shannon), math.fsum(boltzmann)), (n, d)
+
+
 def test_entropy_vs_depth_n8():
     rows = entropy_vs_depth(8, V1)
     shannons = [row.shannon for row in rows]
@@ -294,12 +306,15 @@ class _KeptRandom(_Random):
 
 # The sampler rests on how CPython's random() and getrandbits consume Mersenne
 # Twister words, so an interpreter that changes either fails here first.
-# |tau| = 1, 2, 3 and 8 take the word-reading draw, 9 (t = 512) the fallback;
-# 70,000 points span two getrandbits blocks of 2^16.
+# |tau| = 1, 2, 3 and 8 take the word-reading draw, 9 (t = 512) the fallback.
+# Whole trials are drawn a block of 2^12 points at a time: 33 trials at n=63
+# end one trial into the second block, n=2,048 fills a block with one trial,
+# and from n=2,049 on each model is drawn alone (70,000 points span 18 blocks).
 DRAW_GRID = [(1, 1, 1, 200), (1, 2, 1, 200), (1, 3, 1, 200), (1, 8, 1, 20),
              (1, 9, 1, 20), (100, 1, 2, 500), (64, 2, 16, 500), (12, 3, 3, 300),
-             (40, 8, 1, 10), (40, 9, 1, 10), (70_000, 1, 35_000, 2),
-             (70_000, 2, 17_500, 2)]
+             (40, 8, 1, 10), (40, 9, 1, 10), (63, 2, 16, 33), (2048, 1, 1024, 3),
+             (2049, 1, 1024, 3), (300, 8, 2, 5), (300, 9, 1, 3),
+             (70_000, 1, 35_000, 2), (70_000, 2, 17_500, 2)]
 
 
 def test_sampling_matches_the_choices_draw_and_its_generator_state(monkeypatch):

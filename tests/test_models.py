@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -87,6 +89,30 @@ def test_profile_records_hash_and_print_as_their_fields():
         profile.counts = (3, 0)
     with pytest.raises(AttributeError):
         pm.point_type = 0
+
+
+def test_profile_records_keep_their_tuple_behaviour_with_n_cached():
+    profile, bigger = ModelProfile((1, 2)), ModelProfile((2, 1))
+    pm = PointedProfile(profile, 1)
+    pickled = pickle.dumps(pm), pickle.dumps(profile)
+    assert vars(profile) == {}
+    assert profile.n == 3 and vars(profile) == {"n": 3}
+    assert bigger.n == 3 and pm.profile is profile
+    # the cached n changes none of the tuple behaviour
+    assert profile == ModelProfile((1, 2)) == ((1, 2),)
+    assert hash(profile) == hash(((1, 2),)) and hash(pm) == hash((profile, 1))
+    assert profile < bigger and pm < PointedProfile(bigger, 0)
+    assert sorted([PointedProfile(bigger, 0), pm]) == [pm, PointedProfile(bigger, 0)]
+    assert repr(profile) == "ModelProfile(counts=(1, 2))"
+    assert (pickle.dumps(pm), pickle.dumps(profile)) == pickled
+    assert profile.__reduce_ex__(2)[2:] == (None, None, None)
+    for copied in (pickle.loads(pickle.dumps(pm)), copy.deepcopy(pm), copy.copy(pm)):
+        assert copied == pm and type(copied.profile) is ModelProfile
+        assert copied.profile.n == 3
+    for name in ("n", "counts", "other"):
+        with pytest.raises(AttributeError):
+            setattr(profile, name, 5)
+    assert profile.n == 3
 
 
 def test_enumerate_profiles_counts():

@@ -45,12 +45,19 @@ stderrs are compared:
 - ``phase separation`` beyond the benchmark's |tau|=2: at |tau|=1 with
   n=1, at |tau|=3, at |tau|=8 (t = 256, the largest t whose type is a
   top byte of a Mersenne Twister word), at |tau|=9 (the ``choices``
-  fallback), and at n=70,000, above the sampler's block of 2^16 points;
+  fallback), and at n=70,000, which spans many of the sampler's blocks;
+- ``phase separation --tau p,q --d 500 --trials 7 --seed 3`` at ``--n
+  2048``, whose trial fills one block of 2^12 points, and at ``--n
+  2049``, where each model is drawn alone, and ``phase separation --tau
+  p,q --n 63 --d 16 --trials 33 --seed 3``, whose last trial starts a
+  second block;
 - the pruned orbit enumeration at t = 8 and with d > n: ``verify
   counting --tau p,q,r --max-n 10``, ``entropy-sweep --tau p,q,r --n
   12``, ``entropy --tau p,q --n 6 --d 9 --format json``, ``phase majority
   --tau p,q,r --n 24 --d 2`` and ``phase sweep --tau p,q --rule
-  below-sqrt --a 1 --n-values 16,64,128``;
+  below-sqrt --a 1 --n-values 16,64,128``, and the n=512 sweep ``phase
+  sweep --tau p,q --rule below-sqrt --a 2 --n-values 512`` (98,770
+  orbits);
 - commands that leave options to a ``phase`` or ``verify`` action's own
   defaults: bare ``verify monotone``, ``verify monotone --mode exact``,
   bare ``verify stirling``, ``verify counting --max-n 6`` (no ``--tau``)
@@ -174,6 +181,9 @@ SAMPLING: list[Command] = [((), ("phase", "separation", "--tau", tau, "--n", str
                                  "--d", str(d), "--trials", str(trials), "--seed", "5",
                                  "--format", "json"))
                            for tau, n, d, trials in SEPARATION]
+SAMPLING += [((), ("phase", "separation", "--tau", "p,q", "--n", str(n), "--d", str(d),
+                   "--trials", str(trials), "--seed", "3"))
+             for n, d, trials in ((2048, 500, 7), (2049, 500, 7), (63, 16, 33))]
 
 
 ORBITS: list[Command] = [((), argv) for argv in (
@@ -183,6 +193,8 @@ ORBITS: list[Command] = [((), argv) for argv in (
     ("phase", "majority", "--tau", "p,q,r", "--n", "24", "--d", "2"),
     ("phase", "sweep", "--tau", "p,q", "--rule", "below-sqrt", "--a", "1",
      "--n-values", "16,64,128"),
+    ("phase", "sweep", "--tau", "p,q", "--rule", "below-sqrt", "--a", "2",
+     "--n-values", "512"),
 )]
 
 
