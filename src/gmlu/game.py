@@ -306,7 +306,13 @@ class _Solver:
     the memo after its first query.
 
     Pointed profiles of one domain size are indexed once; sides become
-    int bitmasks.
+    int bitmasks, each distinct side encoded once.  A counting move
+    picks an option per model on each side independently, so its
+    minimal successors are the minimal joins a | b of a minimal union a
+    of the left models' options and a minimal union b of the right's:
+    any union of one option per model contains such a join.  Those
+    per-side unions depend on one side only, so they are memoized per
+    (move kind and side, side mask, grade) for the solver's lifetime.
     """
 
     def __init__(self, vocab: Vocabulary, n: int, d: int):
@@ -331,6 +337,8 @@ class _Solver:
         self._flip_tables = [self._byte_tables(f) for f in range(1, vocab.t)]
         self._sel_cache: dict = {}
         self._pair_cache: dict = {}
+        self._side_cache: dict = {}
+        self._encoded: dict = {}
         self.memo: dict[int, int] = {}
 
     def _byte_tables(self, flip: int) -> list[tuple[int, list[int]]]:
@@ -367,8 +375,14 @@ class _Solver:
             key = min(key, image, image >> w | (image & self._left_mask) << w)
         return key << 1 | modal_made
 
-    def encode(self, models) -> int:
-        return sum(1 << self.pm_index[pm.sort_key()] for pm in models)
+    def encode(self, models: frozenset[PointedProfile]) -> int:
+        """The bitmask of a side, computed once per distinct side."""
+        mask = self._encoded.get(models)
+        if mask is None:
+            mask = self._encoded[models] = sum(
+                1 << self.pm_index[pm.sort_key()] for pm in models
+            )
+        return mask
 
     def _vec_mask(self, counts: tuple[int, ...], vec: tuple[int, ...]) -> int:
         """The pointed models of ``counts`` at the types ``vec`` picks."""
@@ -431,25 +445,41 @@ class _Solver:
             acc = {a | x for a in acc for x in opts}
         return cls._minimal(acc)
 
+    def _options(self, part: int, counts: tuple[int, ...], k: int):
+        """One model's minimal options in a move of grade k: ``part`` 0 and
+        1 are the left and right side of "<>=", 2 and 3 those of "<>=="."""
+        if part == 0:
+            return self._sel_masks(counts, k)
+        if part == 1:
+            return self._sel_masks(counts, self.n - k + 1, self._width)
+        if part == 2:
+            return self._sel_pairs(counts, k)
+        return (
+            self._sel_masks(counts, k + 1)
+            + self._sel_masks(counts, self.n - k + 1, self._width)
+        )
+
+    def _side(self, part: int, mask: int, k: int) -> tuple[int, ...]:
+        """The minimal unions of one option per model of the side ``mask``."""
+        key = (part, mask, k)
+        found = self._side_cache.get(key)
+        if found is None:
+            found = self._side_cache[key] = self._fold(
+                self._options(part, self._counts[i], k) for i in self._bits(mask)
+            )
+        return found
+
+    def _join(self, left: tuple[int, ...], right: tuple[int, ...]):
+        """The minimal unions of one left and one right side union."""
+        return self._minimal({a | b for a in left for b in right})
+
     def _threshold_successors(self, A: int, B: int, k: int):
         """Minimal successors of the "<>=" moves of grade k."""
-        opts = [self._sel_masks(self._counts[i], k) for i in self._bits(A)]
-        opts += [
-            self._sel_masks(self._counts[i], self.n - k + 1, self._width)
-            for i in self._bits(B)
-        ]
-        return self._fold(opts)
+        return self._join(self._side(0, A, k), self._side(1, B, k))
 
     def _exact_successors(self, A: int, B: int, k: int):
         """Minimal successors of the "<>==" moves of grade k."""
-        opts = [self._sel_pairs(self._counts[i], k) for i in self._bits(A)]
-        for i in self._bits(B):
-            c = self._counts[i]
-            opts.append(
-                self._sel_masks(c, k + 1)
-                + self._sel_masks(c, self.n - k + 1, self._width)
-            )
-        return self._fold(opts)
+        return self._join(self._side(2, A, k), self._side(3, B, k))
 
     def _counting_successors(self, A: int, B: int, cost: int):
         """Successors of the counting moves that cost ``cost``.

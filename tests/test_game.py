@@ -397,9 +397,9 @@ def test_solver_matches_slow_reference():
                 assert (solve(pos, 2, V1) == S_WINS) == slow(pos, 2, memo), (a, b, r)
 
 
-def _sides(n: int) -> list[frozenset]:
+def _sides(n: int, vocab: Vocabulary = V1) -> list[frozenset]:
     """Every side of at most two pointed size-n models, the empty one too."""
-    pms = pointed_profiles(n, V1)
+    pms = pointed_profiles(n, vocab)
     sides = [frozenset()]
     for k in (1, 2):
         sides.extend(frozenset(c) for c in combinations(pms, k))
@@ -499,15 +499,15 @@ def test_least_budget_equals_minimal_separating_size_at_n4():
             assert value == found == image_value, (d, left, right)
 
 
-def _successors_via_apply_move(pos: GamePosition, d: int, solver: _Solver):
+def _successors_via_apply_move(pos: GamePosition, solver: _Solver):
     """Packed successors of every counting move of ``legal_moves``, by
     kind and grade, with "[]<" and "[]!=" read on the swapped position."""
     out: dict = {}
     dual = {"[]<": "<>=", "[]!=": "<>=="}
-    for move in legal_moves(pos, d, V1):
+    for move in legal_moves(pos, solver.d, solver.vocab):
         if not isinstance(move, CountMove):
             continue
-        (q,) = apply_move(pos, move, V1).positions
+        (q,) = apply_move(pos, move, solver.vocab).positions
         left, right = q.left, q.right
         if move.kind in dual:
             left, right = right, left
@@ -521,38 +521,89 @@ def _is_antichain(masks) -> bool:
     return all(x & y != x for x in masks for y in masks if x != y)
 
 
+def _nonempty_positions(sides) -> list[tuple[frozenset, frozenset]]:
+    return [(left, right) for left in sides for right in sides if left and right]
+
+
+def _check_successors(solver: _Solver, positions) -> int:
+    """Check the solver's successors at each (left, right) position
+    against ``apply_move``; the number of collections checked."""
+    checked = 0
+    for left, right in positions:
+        pos = GamePosition(solver.n + 2, left, right, True)
+        reference = _successors_via_apply_move(pos, solver)
+        A, B = solver.encode(left), solver.encode(right)
+        for (kind, k, swapped), every in reference.items():
+            if kind == "<>=" and k == 0:
+                continue  # the solver answers these without successors
+            X, Y = (B, A) if swapped else (A, B)
+            found = (
+                solver._threshold_successors(X, Y, k) if kind == "<>="
+                else solver._exact_successors(X, Y, k)
+            )
+            assert _is_antichain(found)
+            sizes = [x.bit_count() for x in found]
+            assert sizes == sorted(sizes)
+            minimal = {x for x in every if not any(
+                y != x and y & x == y for y in every
+            )}
+            assert set(found) == minimal, (pos, kind, k, swapped)
+            checked += 1
+    return checked
+
+
 def test_solver_successors_are_the_minimal_reference_successors():
     """Each successor collection of the solver is an antichain under
     subset order, listed fewest points first, and it holds exactly the
     subset-minimal successors that ``apply_move`` gives for the same
-    move kind and grade."""
-    checked = 0
-    for n, d, sides in _criterion_5_grid():
-        solver = _Solver(V1, n, d)
-        for left in sides:
-            for right in sides:
-                if not left or not right:
-                    continue
-                pos = GamePosition(n + 2, left, right, True)
-                reference = _successors_via_apply_move(pos, d, solver)
-                A, B = solver.encode(left), solver.encode(right)
-                for (kind, k, swapped), every in reference.items():
-                    if kind == "<>=" and k == 0:
-                        continue  # the solver answers these without successors
-                    X, Y = (B, A) if swapped else (A, B)
-                    found = (
-                        solver._threshold_successors(X, Y, k) if kind == "<>="
-                        else solver._exact_successors(X, Y, k)
-                    )
-                    assert _is_antichain(found)
-                    sizes = [x.bit_count() for x in found]
-                    assert sizes == sorted(sizes)
-                    minimal = {x for x in every if not any(
-                        y != x and y & x == y for y in every
-                    )}
-                    assert set(found) == minimal, (pos, kind, k, swapped)
-                    checked += 1
+    move kind and grade.  One solver serves every position of an (n, d),
+    so later positions join side unions that earlier ones cached.  The
+    |tau|=2 leg (d = 1), where memo keys take three flip images, checks
+    every position at n = 1 and a seeded sample of 3,000 of the 18,496
+    at n = 2, where building the reference for all of them takes
+    seconds."""
+    checked = sum(
+        _check_successors(_Solver(V1, n, d), _nonempty_positions(sides))
+        for n, d, sides in _criterion_5_grid()
+    )
     assert checked > 1000
+    v2 = Vocabulary(("p", "q"))
+    small = _nonempty_positions(_sides(1, v2))
+    sample = random.Random(23).sample(_nonempty_positions(_sides(2, v2)), 3000)
+    checked = _check_successors(_Solver(v2, 1, 1), small)
+    checked += _check_successors(_Solver(v2, 2, 1), sample)
+    assert checked > 1000
+
+
+def test_warm_solver_successors_equal_a_cold_solvers():
+    """After the n=4, d=2 game-theorem grid (every position of at most two
+    models a side, budgets 5 down to 1) has filled one solver's side
+    unions, its successors at sampled positions over the sides it cached
+    are the sets a fresh solver builds; and a side's mask is the same on
+    its first and on a repeated ``encode``."""
+    n, d, sides = 4, 2, _sides(4)
+    warm = _Solver(V1, n, d)
+    for side in sides:
+        first = warm.encode(side)
+        assert first == sum(1 << warm.pm_index[pm.sort_key()] for pm in side)
+        assert warm.encode(frozenset(list(side))) == first
+    for left in sides:
+        for right in sides:
+            for r in range(5, 0, -1):
+                warm.least(r, warm.encode(left), warm.encode(right), False)
+    masks = sorted({mask for _, mask, _ in warm._side_cache})
+    assert len(masks) > 100
+    rng = random.Random(4)
+    for _ in range(300):
+        A, B = rng.choice(masks), rng.choice(masks)
+        cold = _Solver(V1, n, d)
+        for k in range(1, d + 1):
+            assert set(warm._threshold_successors(A, B, k)) == set(
+                cold._threshold_successors(A, B, k)
+            ), (A, B, k)
+            assert set(warm._exact_successors(A, B, k - 1)) == set(
+                cold._exact_successors(A, B, k - 1)
+            ), (A, B, k - 1)
 
 
 def _flip_images(solver: _Solver, mask: int) -> list[int]:

@@ -7,17 +7,20 @@ Usage, from the root of a checkout::
 
 The change is the tree staged in the index of this checkout (``git
 write-tree``), so the report names exactly the files it measured.  Both
-the base revision and that tree are exported with ``git archive`` into a
-temporary directory.  For every workload named in ``BENCHMARK.json``,
-each side runs its own ``perfbench/run.py --trace 0`` for the
-benchmark's ``run_seconds``, in ten pairs that alternate which side runs
-first and share one seed per pair (``--seed`` is the first pair's).  The output file holds, per workload and end-to-end
-metric, each side's median, quartiles and runs, how many pairs the
-change won (ties count for neither side), whether a gain may be claimed
-(at least nine tenths of the pairs won and the medians further apart
-than the base's interquartile range) and whether the change stays
-within the benchmark's bound.  It also records failed invocations, the
-Python version and the core count.
+the base revision and that tree are exported with ``git archive`` into
+sibling directories of a temporary directory, named ``base`` and
+``tree``: names of one length, since a process's peak RSS moves with the
+length of its source paths when no bytecode is cached.  For every
+workload named in ``BENCHMARK.json``, each side runs its own
+``perfbench/run.py --trace 0`` for the benchmark's ``run_seconds``, in
+ten pairs that alternate which side runs first and share one seed per
+pair (``--seed`` is the first pair's).  The output file holds, per
+workload and end-to-end metric, each side's median, quartiles and runs,
+how many pairs the change won (ties count for neither side), whether a
+gain may be claimed (at least nine tenths of the pairs won and the
+medians further apart than the base's interquartile range) and whether
+the change stays within the benchmark's bound.  It also records failed
+invocations, the Python version and the core count.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+# each side's checkout directory; the names have one length (see above)
+CHECKOUT_DIRS = {"base": "base", "change": "tree"}
 
 
 def git(*args: str) -> str:
@@ -99,7 +104,7 @@ def main(argv=None) -> int:
             "change": git("write-tree")}
 
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {side: Path(tmp) / side for side in shas}
+        sides = {side: Path(tmp) / CHECKOUT_DIRS[side] for side in shas}
         for side, root in sides.items():
             export_tree(shas[side], root)
         results = {}

@@ -16,11 +16,12 @@ stderrs are compared:
 - ``game solve`` and ``game trace`` at r = 5 and 7 on each benchmark
   game position under its four symmetries (swap the sides, swap p with
   !p, both, neither);
-- the n=5 game grid, ``verify game-theorem --tau p --n 5 --d 2 --max-r 5
-  --max-side 2`` under ``GMLU_GAME_MAX_N=5``, and the |tau|=2 grid, whose
+- the n=5 and n=6 game grids, ``verify game-theorem --tau p --n 5 --d 2
+  --max-r 5 --max-side 2`` under ``GMLU_GAME_MAX_N=5`` and the same at
+  ``--n 6`` under ``GMLU_GAME_MAX_N=6``, and the |tau|=2 grids, whose
   memo keys take the least of three literal-flip images, ``verify
-  game-theorem --tau p,q --n 2 --d 1 --max-r 5 --max-side 2`` under
-  ``GMLU_GAME_MAX_SYMBOLS=2``;
+  game-theorem --tau p,q --n 2 --d 1 --max-r 5 --max-side 2`` and the
+  same at ``--max-r 7``, under ``GMLU_GAME_MAX_SYMBOLS=2``;
 - exact search beyond the benchmark's n=12: ``complexity --tau p --n 14
   --d 7 --exact`` and ``verify monotone --tau p --n 14 --d 7 --mode
   exact`` under ``GMLU_EXACT_MAX_N=14 GMLU_EXACT_MAX_D=7``, the same two
@@ -124,12 +125,15 @@ def game_commands() -> list[Command]:
 
 
 GRIDS: list[Command] = [
-    ((("GMLU_GAME_MAX_N", "5"),),
-     ("verify", "game-theorem", "--tau", "p", "--n", "5", "--d", "2",
-      "--max-r", "5", "--max-side", "2")),
+    ((("GMLU_GAME_MAX_N", n),),
+     ("verify", "game-theorem", "--tau", "p", "--n", n, "--d", "2",
+      "--max-r", "5", "--max-side", "2"))
+    for n in ("5", "6")
+] + [
     ((("GMLU_GAME_MAX_SYMBOLS", "2"),),
      ("verify", "game-theorem", "--tau", "p,q", "--n", "2", "--d", "1",
-      "--max-r", "5", "--max-side", "2")),
+      "--max-r", r, "--max-side", "2"))
+    for r in ("5", "7")
 ]
 
 EXACT: list[Command] = [
