@@ -186,10 +186,6 @@ def find_min_cover(
     return best[0], frozenset(best[1])
 
 
-def min_cover_cost(graph: CoverGraph, caps: SearchCaps = DEFAULT_CAPS) -> int:
-    return find_min_cover(graph, caps)[0]
-
-
 class FormulaSearch:
     """Size-ordered enumeration of depth-bounded formulas over a fixed
     profile family, deduplicated by semantic signature.

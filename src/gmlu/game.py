@@ -302,17 +302,16 @@ class _Solver:
     flip images of the position.  It holds one entry per key, either the
     exact v or a proven lower bound "v > cap" left by a search that found
     nothing within cap; a later query with a larger cap searches again.
-    A sweep over budgets from the largest down is therefore answered from
-    the memo after its first query.
 
     Pointed profiles of one domain size are indexed once; sides become
-    int bitmasks, each distinct side encoded once.  A counting move
-    picks an option per model on each side independently, so its
-    minimal successors are the minimal joins a | b of a minimal union a
-    of the left models' options and a minimal union b of the right's:
-    any union of one option per model contains such a join.  Those
-    per-side unions depend on one side only, so they are memoized per
-    (move kind and side, side mask, grade) for the solver's lifetime.
+    int bitmasks.  A counting move picks an option per model on each
+    side independently, so its minimal successors are the minimal joins
+    a | b of a minimal union a of the left models' options and a minimal
+    union b of the right's: any union of one option per model contains
+    such a join.  Two memos serve them for the solver's lifetime: one
+    model's minimal options per (move kind and side, counts, grade), and
+    the per-side unions, which depend on one side only, per (move kind
+    and side, side mask, grade).
     """
 
     def __init__(self, vocab: Vocabulary, n: int, d: int):
@@ -335,10 +334,8 @@ class _Solver:
         self._width = len(self.pms)
         self._left_mask = (1 << self._width) - 1
         self._flip_tables = [self._byte_tables(f) for f in range(1, vocab.t)]
-        self._sel_cache: dict = {}
-        self._pair_cache: dict = {}
+        self._option_cache: dict = {}
         self._side_cache: dict = {}
-        self._encoded: dict = {}
         self.memo: dict[int, int] = {}
 
     def _byte_tables(self, flip: int) -> list[tuple[int, list[int]]]:
@@ -376,13 +373,8 @@ class _Solver:
         return key << 1 | modal_made
 
     def encode(self, models: frozenset[PointedProfile]) -> int:
-        """The bitmask of a side, computed once per distinct side."""
-        mask = self._encoded.get(models)
-        if mask is None:
-            mask = self._encoded[models] = sum(
-                1 << self.pm_index[pm.sort_key()] for pm in models
-            )
-        return mask
+        """The bitmask of a side."""
+        return sum(1 << self.pm_index[pm.sort_key()] for pm in models)
 
     def _vec_mask(self, counts: tuple[int, ...], vec: tuple[int, ...]) -> int:
         """The pointed models of ``counts`` at the types ``vec`` picks."""
@@ -400,34 +392,6 @@ class _Solver:
                 kept.append(x)
         return tuple(kept)
 
-    def _sel_masks(
-        self, counts: tuple[int, ...], m: int, shift: int = 0
-    ) -> tuple[int, ...]:
-        """Minimal contribution masks of m-point selections from a model,
-        shifted onto the right side's bits when ``shift`` is the width."""
-        key = (counts, m, shift)
-        if key not in self._sel_cache:
-            self._sel_cache[key] = (
-                tuple(x << shift for x in self._sel_masks(counts, m)) if shift
-                else self._minimal(
-                    self._vec_mask(counts, vec)
-                    for vec in bounded_compositions(counts, m)
-                )
-            )
-        return self._sel_cache[key]
-
-    def _sel_pairs(self, counts: tuple[int, ...], k: int):
-        """Minimal exact k-point picks from a left model, each packed as
-        its picked points on the left and the rest on the right."""
-        key = (counts, k)
-        if key not in self._pair_cache:
-            self._pair_cache[key] = self._minimal(
-                self._vec_mask(counts, vec)
-                | self._vec_mask(counts, _complement(counts, vec)) << self._width
-                for vec in bounded_compositions(counts, k)
-            )
-        return self._pair_cache[key]
-
     @staticmethod
     def _bits(mask: int):
         while mask:
@@ -435,51 +399,48 @@ class _Solver:
             yield low.bit_length() - 1
             mask ^= low
 
-    @classmethod
-    def _fold(cls, option_lists) -> tuple[int, ...]:
-        """The minimal unions of one option per list, fewest bits first."""
-        acc = {0}
-        for opts in option_lists:
-            if not opts:
-                return ()
-            acc = {a | x for a in acc for x in opts}
-        return cls._minimal(acc)
-
     def _options(self, part: int, counts: tuple[int, ...], k: int):
         """One model's minimal options in a move of grade k: ``part`` 0 and
-        1 are the left and right side of "<>=", 2 and 3 those of "<>=="."""
-        if part == 0:
-            return self._sel_masks(counts, k)
-        if part == 1:
-            return self._sel_masks(counts, self.n - k + 1, self._width)
-        if part == 2:
-            return self._sel_pairs(counts, k)
-        return (
-            self._sel_masks(counts, k + 1)
-            + self._sel_masks(counts, self.n - k + 1, self._width)
-        )
+        1 are the left and right side of "<>=", 2 and 3 those of "<>==".
+        An option is packed like a successor, its left points low."""
+        key = (part, counts, k)
+        found = self._option_cache.get(key)
+        if found is None:
+            mask, w = functools.partial(self._vec_mask, counts), self._width
+            picks = functools.partial(bounded_compositions, counts)
+            if part == 0:
+                masks = [mask(v) for v in picks(k)]
+            elif part == 1:
+                masks = [mask(v) << w for v in picks(self.n - k + 1)]
+            elif part == 2:  # k points on the left and the rest on the right
+                masks = [mask(v) | mask(_complement(counts, v)) << w for v in picks(k)]
+            else:
+                masks = [mask(v) for v in picks(k + 1)]
+                masks += [mask(v) << w for v in picks(self.n - k + 1)]
+            found = self._option_cache[key] = self._minimal(masks)
+        return found
 
     def _side(self, part: int, mask: int, k: int) -> tuple[int, ...]:
         """The minimal unions of one option per model of the side ``mask``."""
         key = (part, mask, k)
         found = self._side_cache.get(key)
         if found is None:
-            found = self._side_cache[key] = self._fold(
-                self._options(part, self._counts[i], k) for i in self._bits(mask)
-            )
+            unions = {0}
+            for i in self._bits(mask):
+                options = self._options(part, self._counts[i], k)
+                unions = {a | x for a in unions for x in options}
+            found = self._side_cache[key] = self._minimal(unions)
         return found
 
-    def _join(self, left: tuple[int, ...], right: tuple[int, ...]):
-        """The minimal unions of one left and one right side union."""
-        return self._minimal({a | b for a in left for b in right})
-
-    def _threshold_successors(self, A: int, B: int, k: int):
-        """Minimal successors of the "<>=" moves of grade k."""
-        return self._join(self._side(0, A, k), self._side(1, B, k))
-
-    def _exact_successors(self, A: int, B: int, k: int):
-        """Minimal successors of the "<>==" moves of grade k."""
-        return self._join(self._side(2, A, k), self._side(3, B, k))
+    def _successors(self, exact: int, A: int, B: int, k: int) -> tuple[int, ...]:
+        """Minimal successors of the "<>=" (``exact`` 0) or "<>==" (1)
+        moves of grade k: the minimal joins of one left and one right
+        side union."""
+        return self._minimal({
+            a | b
+            for a in self._side(2 * exact, A, k)
+            for b in self._side(2 * exact + 1, B, k)
+        })
 
     def _counting_successors(self, A: int, B: int, cost: int):
         """Successors of the counting moves that cost ``cost``.
@@ -490,11 +451,9 @@ class _Solver:
         on (B, A).  The successor sets are built one move kind at a time,
         so a win in an early one saves building the rest.
         """
-        for successors, k in (
-            (self._threshold_successors, cost), (self._exact_successors, cost - 1)
-        ):
+        for exact in (0, 1):
             for X, Y in ((A, B), (B, A)):
-                yield from successors(X, Y, k)
+                yield from self._successors(exact, X, Y, cost - exact)
 
     @staticmethod
     def _split_successors(A: int, B: int):
@@ -592,20 +551,20 @@ def solve(
     check_cap(caps, "game_max_models", len(pos.left) + len(pos.right), "game models")
     if pos.n is not None:
         check_cap(caps, "game_max_n", pos.n, "game domain size")
-    return _winner(pos, d, vocab)
+    return D_WINS if _least(pos, d, vocab) is None else S_WINS
 
 
-def _winner(pos: GamePosition, d: int, vocab: Vocabulary) -> str:
-    """The winner from ``pos``, with no cap check: a counting move's
+def _least(pos: GamePosition, d: int, vocab: Vocabulary) -> int | None:
+    """The least budget at which S wins from ``pos``, or None if it is
+    above ``pos.resource``; with no cap check: a counting move's
     successor may hold more pointed models than the position it left."""
     if pos.n is None:
-        return S_WINS if pos.resource >= 1 else D_WINS
+        return 1 if pos.resource >= 1 else None
     solver = _solver_for(vocab, pos.n, d)
-    value = solver.least(
+    return solver.least(
         pos.resource, solver.encode(pos.left), solver.encode(pos.right),
         pos.modal_move_made,
     )
-    return D_WINS if value is None else S_WINS
 
 
 def _pm_json(pm: PointedProfile) -> dict:
@@ -658,7 +617,7 @@ def strategy_trace(
                 node["winner"] = S_WINS
                 return node
             if outcome.winner is None and all(
-                _winner(q, d, vocab) == S_WINS for q in outcome.positions
+                _least(q, d, vocab) is not None for q in outcome.positions
             ):
                 node["move"] = _move_json(move)
                 node["children"] = [rec(q) for q in outcome.positions]
@@ -691,7 +650,10 @@ def check_game_formula_equivalence(
     vocab: Vocabulary,
     caps: SearchCaps = DEFAULT_CAPS,
 ) -> GameFormulaCheck:
-    """S wins at this budget iff a separating formula of that size exists."""
+    """The game value agrees with the separating-formula search: the least
+    budget at which S wins is the least size of a separating formula,
+    both looked for within ``resource``, so the two agree at every
+    budget up to it."""
     pos = GamePosition(resource, frozenset(left), frozenset(right), False)
     winner = solve(pos, d, vocab, caps)
     if pos.n is None:
@@ -705,11 +667,11 @@ def check_game_formula_equivalence(
             [pm.profile for pm in pos.right],
             resource,
         )
-    agree = (winner == S_WINS) == (found is not None)
+    size = found[0] if found else None
     return GameFormulaCheck(
         resource,
         winner,
-        found[0] if found else None,
+        size,
         found[1] if found else None,
-        agree,
+        _least(pos, d, vocab) == size,
     )

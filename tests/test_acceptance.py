@@ -16,8 +16,8 @@ from gmlu.classes import class_size, enumerate_admissible, tuple_of_profile
 from gmlu.complexity import (
     build_cover_graph,
     exact_complexity,
+    find_min_cover,
     lower_bound,
-    min_cover_cost,
     upper_bound,
 )
 from gmlu.config import SearchCaps
@@ -128,7 +128,7 @@ def test_criterion_04_bound_sandwich_and_cover_agreement():
                 exact = exact_complexity(tup, V1)
                 assert exact is not None
                 assert lo <= exact <= hi, (tup, lo, exact, hi)
-                assert min_cover_cost(build_cover_graph(tup)) == lo, tup
+                assert find_min_cover(build_cover_graph(tup))[0] == lo, tup
                 checked += 1
     report(4, True, f"sandwich and cover=lower on {checked} classes")
 

@@ -367,6 +367,22 @@ def test_verify_monotone(capsys):
     assert payload["ok"] is True and payload["pairs"] > 0
 
 
+def test_verify_monotone_with_no_comparable_pair_is_not_ok(capsys):
+    # at |tau|=1 a comparable pair needs an entry-sum gap above 5, and the
+    # admissible tuples at n=6, d=2 have entry sums 2 to 4
+    payload = run_json(capsys, "verify", "monotone", "--tau", "p", "--n", "6", "--d", "2")
+    assert payload["pairs"] == 0 and payload["ok"] is False
+
+
+def test_verify_monotone_defaults_check_pairs(capsys):
+    payload = run_json(capsys, "verify", "monotone")
+    assert (payload["n"], payload["d"], payload["pairs"]) == (26, 6, 2)
+    assert payload["ok"] is True
+    # exact mode cannot reach a comparable pair under the default caps
+    assert main(["verify", "monotone", "--mode", "exact"]) == 1
+    assert "GMLU_EXACT_MAX_N" in capsys.readouterr().err
+
+
 def test_verify_game_theorem(capsys):
     payload = run_json(
         capsys, "verify", "game-theorem", "--tau", "p", "--n", "2", "--d", "1",
@@ -395,6 +411,24 @@ def test_game_theorem_searches_once_per_position(capsys, monkeypatch):
     assert {args[-1] for args in searches} == {4}
 
 
+def test_game_theorem_solves_once_per_position(capsys, monkeypatch):
+    solves = []
+    solve = game.solve
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(game, "solve", counted)
+    payload = run_json(
+        capsys, "verify", "game-theorem", "--tau", "p", "--n", "2", "--d", "1",
+        "--max-r", "4", "--max-side", "1",
+    )
+    assert payload["ok"] is True and payload["instances"] == 5 * 5 * 4
+    assert len(solves) == 5 * 5
+    assert {args[0].resource for args in solves} == {4}
+
+
 def test_least_separating_size_within_max_r_settles_each_budget():
     # what verify game-theorem relies on: a formula of size at most r
     # separates iff the least one found within max_r has size at most r
@@ -413,8 +447,8 @@ def test_least_separating_size_within_max_r_settles_each_budget():
 
 
 def test_game_theorem_cap_names_the_max_r_asked_for(capsys):
-    # budgets are swept from the largest down, so the first instance
-    # already asks for the budget that exceeds the cap
+    # each position is checked at --max-r, so the first one already asks
+    # for the budget that exceeds the cap
     assert main(["verify", "game-theorem", "--tau", "p", "--n", "2", "--d", "1",
                  "--max-r", "9"]) == 1
     assert capsys.readouterr() == ("", (

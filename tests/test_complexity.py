@@ -9,7 +9,6 @@ from gmlu.complexity import (
     exact_complexity,
     find_min_cover,
     lower_bound,
-    min_cover_cost,
     minimal_separating_size,
     type_formula,
     upper_bound,
@@ -112,13 +111,13 @@ def test_gap_at_most_c_tau():
 def test_cover_graph_two_capped():
     g = build_cover_graph(AdmissibleTuple((2, 2), 5, 2))
     assert set(g.edges) == {(0, 1), (1, 0)}
-    assert min_cover_cost(g) == 4
+    assert find_min_cover(g)[0] == 4
 
 
 def test_cover_graph_single_vertex():
     g = build_cover_graph(AdmissibleTuple((1, 0), 1, 1))
     assert g.vertices == (0,) and g.edges == ()
-    assert min_cover_cost(g) == 0
+    assert find_min_cover(g)[0] == 0
 
 
 def test_cover_graph_mixed_support():
@@ -138,13 +137,13 @@ def test_min_cover_equals_lower_bound_everywhere():
             for d in range(1, min(n, 4) + 1):
                 for tup in enumerate_admissible(n, d, vocab):
                     g = build_cover_graph(tup)
-                    assert min_cover_cost(g) == lower_bound(tup), tup
+                    assert find_min_cover(g)[0] == lower_bound(tup), tup
 
 
 def test_cover_cap():
     g = build_cover_graph(AdmissibleTuple((1, 1), 2, 1))
     with pytest.raises(ScaleCapError):
-        min_cover_cost(g, SearchCaps(cover_max_support=1))
+        find_min_cover(g, SearchCaps(cover_max_support=1))
 
 
 # -- definability ---------------------------------------------------------------

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from gmlu import game
 from gmlu.complexity import minimal_separating_size
 from gmlu.config import ScaleCapError
 from gmlu.game import (
@@ -244,6 +245,24 @@ def test_equivalence_check_spec_example():
     assert chk.agree and chk.winner == D_WINS and chk.separating_size is None
     chk = check_game_formula_equivalence(6, {MIXED_P}, {MIXED_P}, 2, V1)
     assert chk.agree and chk.winner == D_WINS
+
+
+def test_equivalence_check_compares_the_least_sizes(monkeypatch):
+    """A formula search that finds a separating formula within the budget,
+    but not the least one, disagrees with the game at a smaller budget,
+    so the check at the larger budget must already fail."""
+    search = game.minimal_separating_size
+
+    def one_too_large(vocab, d, n, left, right, max_size):
+        found = search(vocab, d, n, left, right, max_size)
+        if found is not None and found[0] < max_size:
+            return found[0] + 1, found[1]
+        return found
+
+    monkeypatch.setattr(game, "minimal_separating_size", one_too_large)
+    chk = check_game_formula_equivalence(4, {ALL_P}, {MIXED_P}, 1, V1)
+    assert chk.winner == S_WINS and chk.separating_size == 3
+    assert not chk.agree
 
 
 def test_found_separating_formulas_really_separate():
@@ -537,10 +556,7 @@ def _check_successors(solver: _Solver, positions) -> int:
             if kind == "<>=" and k == 0:
                 continue  # the solver answers these without successors
             X, Y = (B, A) if swapped else (A, B)
-            found = (
-                solver._threshold_successors(X, Y, k) if kind == "<>="
-                else solver._exact_successors(X, Y, k)
-            )
+            found = solver._successors(kind == "<>==", X, Y, k)
             assert _is_antichain(found)
             sizes = [x.bit_count() for x in found]
             assert sizes == sorted(sizes)
@@ -598,11 +614,11 @@ def test_warm_solver_successors_equal_a_cold_solvers():
         A, B = rng.choice(masks), rng.choice(masks)
         cold = _Solver(V1, n, d)
         for k in range(1, d + 1):
-            assert set(warm._threshold_successors(A, B, k)) == set(
-                cold._threshold_successors(A, B, k)
+            assert set(warm._successors(0, A, B, k)) == set(
+                cold._successors(0, A, B, k)
             ), (A, B, k)
-            assert set(warm._exact_successors(A, B, k - 1)) == set(
-                cold._exact_successors(A, B, k - 1)
+            assert set(warm._successors(1, A, B, k - 1)) == set(
+                cold._successors(1, A, B, k - 1)
             ), (A, B, k - 1)
 
 
