@@ -323,39 +323,15 @@ def exact_separation_probability(n: int, d: int, vocab: Vocabulary) -> Fraction:
     return 1 - Fraction(collisions, vocab.t ** (2 * n))
 
 
-class SweepRow(NamedTuple):
-    n: int
-    d: int
-    candidate_probability: Fraction
-    max_tuple: AdmissibleTuple
-    max_probability: Fraction
-
-
 def dominating_class_sweep(
     d_rule: Callable[[int], int], vocab: Vocabulary, n_values: Iterable[int]
-) -> list[SweepRow]:
+) -> list[MajorityReport]:
     """Exact candidate and maximum class probabilities along a depth rule.
 
     The trend over n (toward one, bounded away, or toward zero) is what
     the table exhibits; no limit claim is asserted.
     """
-    rows = []
-    for n in n_values:
-        d = d_rule(n)
-        if d < 1:
-            raise ValueError(f"depth rule gave d={d} at n={n}")
-        _, candidate_size, max_tuple, max_size = _candidate_and_max(n, d, vocab)
-        denom = vocab.t**n
-        rows.append(
-            SweepRow(
-                n,
-                d,
-                Fraction(candidate_size, denom),
-                max_tuple,
-                Fraction(max_size, denom),
-            )
-        )
-    return rows
+    return [majority_report(n, d_rule(n), vocab) for n in n_values]
 
 
 _DEPTH_RULES = {

@@ -67,9 +67,9 @@ class PropMove(NamedTuple):
     literal: Lit
 
 
-# A selection assigns each model of a side a type-count subvector of the
-# required size.  Exact-count moves let S pick, per model on one side,
-# either a P-set ("P", grade+1 points) or an N-set ("N", n-grade+1).
+# A selection assigns each model of a side one of its options in the move
+# (see ``_options``): a type-count subvector, or in an exact-count move on
+# the side that does not pick the grade, a labelled ("P" or "N") one.
 Selection = tuple[PointedProfile, tuple[int, ...]]
 LabelledSelection = tuple[PointedProfile, tuple[str, tuple[int, ...]]]
 
@@ -86,8 +86,8 @@ class SplitMove(NamedTuple):
 
 class CountMove(NamedTuple):
     """A counting move of kind "<>=", "[]<", "<>==" or "[]!="; the side
-    that picks grade points (or grade+1 / n-grade+1 labelled sets) is the
-    left one for the diamonds and the right one for the boxes."""
+    that picks grade points is the left one for the diamonds and the
+    right one for the boxes."""
 
     kind: str
     grade: int
@@ -133,23 +133,35 @@ def _touched(pm: PointedProfile, vec: tuple[int, ...]):
             yield PointedProfile(pm.profile, i)
 
 
-def _complement(counts: tuple[int, ...], vec: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(c - v for c, v in zip(counts, vec))
-
-
 def _sorted_models(models: frozenset[PointedProfile]) -> list[PointedProfile]:
     return sorted(models, key=PointedProfile.sort_key)
 
 
-def _selection_products(models, size: int, n_size: int | None = None) -> list[tuple]:
-    """Every way of assigning each model a size-point subvector; with
-    ``n_size``, a labelled ("P", size) or ("N", n_size) one."""
+def _options(exact: int, own: bool, counts: tuple[int, ...], k: int, n: int) -> list:
+    """The rule of a counting move: one model's options in a grade-k
+    "<>=" move, or "<>==" with ``exact``, on the diamond's ``own`` side
+    (the left) or the other, in ``legal_moves`` order, as (selection,
+    points sent left, points sent right) type-count vectors.  The own
+    side's picks go left and, in an exact move, its other points right;
+    the other side's go right, or left for a "P" set."""
+    none = (0,) * len(counts)
+    if own:
+        return [
+            (v, v, tuple(c - x for c, x in zip(counts, v)) if exact else none)
+            for v in bounded_compositions(counts, k)
+        ]
+    rest = [(v, none, v) for v in bounded_compositions(counts, n - k + 1)]
+    if not exact:
+        return rest
+    picks = [(("P", v), v, none) for v in bounded_compositions(counts, k + 1)]
+    return picks + [(("N", v), none, v) for v, _, _ in rest]
+
+
+def _selection_products(models, exact: int, own: bool, k: int, n: int) -> list[tuple]:
+    """Every way of assigning each model of a side one of its options."""
     assignments: list[tuple] = [()]
     for pm in _sorted_models(models):
-        opts = list(bounded_compositions(pm.profile.counts, size))
-        if n_size is not None:
-            opts = [("P", v) for v in opts]
-            opts += [("N", v) for v in bounded_compositions(pm.profile.counts, n_size)]
+        opts = [sel for sel, _, _ in _options(exact, own, pm.profile.counts, k, n)]
         if not opts:
             return []
         assignments = [a + ((pm, o),) for a in assignments for o in opts]
@@ -176,39 +188,15 @@ def legal_moves(pos: GamePosition, d: int, vocab: Vocabulary) -> list[GameMove]:
                     part2 = side - part1
                     for r1 in range(1, r - 1):
                         moves.append(SplitMove(kind, part1, part2, r1, r - 1 - r1))
-    # At grade k a diamond move picks k points on the left and the other
-    # sets on the right (n-k+1 points, or labelled k+1 / n-k+1 sets); its
-    # dual box picks them the other way round.
+    # A diamond move's own side is the left; its dual box's is the right.
     for kind in _DIAMONDS.values():
         dia, box = kind.token, kind.dual.token
         for k in range(0, min(d - kind.exact, r - 1) + 1):
-            other = (k + 1, n - k + 1) if kind.exact else (n - k + 1,)
-            picks = [_selection_products(side, k) for side in (pos.left, pos.right)]
-            rest = [_selection_products(side, *other) for side in (pos.left, pos.right)]
-            moves += [CountMove(dia, k, sl, sr) for sl in picks[0] for sr in rest[1]]
-            moves += [CountMove(box, k, sl, sr) for sl in rest[0] for sr in picks[1]]
+            own, other = ([_selection_products(side, kind.exact, mine, k, n)
+                           for side in (pos.left, pos.right)] for mine in (True, False))
+            moves += [CountMove(dia, k, sl, sr) for sl in own[0] for sr in other[1]]
+            moves += [CountMove(box, k, sl, sr) for sl in other[0] for sr in own[1]]
     return moves
-
-
-def _check_selection(selections, models, size: int, n_size: int | None = None):
-    """Each model of the side has one size-point selection; with
-    ``n_size``, one labelled ("P", size) or ("N", n_size) selection."""
-    covered = [pm for pm, _ in selections]
-    if len(covered) != len(models) or frozenset(covered) != models:
-        raise ValueError("selections must cover the side exactly once each")
-    for pm, vec in selections:
-        expected = size
-        if n_size is not None:
-            label, vec = vec
-            if label not in ("P", "N"):
-                raise ValueError(f"bad selection label {label!r}")
-            expected = size if label == "P" else n_size
-        if len(vec) != len(pm.profile.counts):
-            raise ValueError("selection vector length mismatch")
-        if any(v < 0 or v > c for v, c in zip(vec, pm.profile.counts)):
-            raise ValueError(f"selection {vec} exceeds counts {pm.profile.counts}")
-        if sum(vec) != expected:
-            raise ValueError(f"selection {vec} does not pick {expected} points")
 
 
 def apply_move(pos: GamePosition, move: GameMove, vocab: Vocabulary) -> MoveOutcome:
@@ -253,21 +241,26 @@ def _play(pos: GamePosition, move: GameMove) -> tuple[GamePosition, ...]:
     if k >= r:
         raise ValueError(f"grade {k} needs resource above {r}")
     exact = _DIAMONDS[move.kind].exact
-    other = (k + 1, n - k + 1) if exact else (n - k + 1,)
-    _check_selection(move.left_selections, pos.left, k)
-    _check_selection(move.right_selections, pos.right, *other)
     new_left: set[PointedProfile] = set()
     new_right: set[PointedProfile] = set()
-    for pm, vec in move.left_selections:
-        new_left.update(_touched(pm, vec))
-        if exact:
-            new_right.update(_touched(pm, _complement(pm.profile.counts, vec)))
-    for pm, choice in move.right_selections:
-        if exact:
-            label, vec = choice
-            (new_left if label == "P" else new_right).update(_touched(pm, vec))
-        else:
-            new_right.update(_touched(pm, choice))
+    for own, models, selections in (
+        (True, pos.left, move.left_selections),
+        (False, pos.right, move.right_selections),
+    ):
+        covered = [pm for pm, _ in selections]
+        if len(covered) != len(models) or frozenset(covered) != models:
+            raise ValueError("selections must cover the side exactly once each")
+        for pm, choice in selections:
+            counts = pm.profile.counts
+            for selection, to_left, to_right in _options(exact, own, counts, k, n):
+                if selection == choice:
+                    new_left.update(_touched(pm, to_left))
+                    new_right.update(_touched(pm, to_right))
+                    break
+            else:
+                raise ValueError(
+                    f"selection {choice} is not an option of counts {counts}"
+                )
     budget = r - k - exact
     return (GamePosition(budget, frozenset(new_left), frozenset(new_right), True),)
 
@@ -308,10 +301,11 @@ class _Solver:
     side independently, so its minimal successors are the minimal joins
     a | b of a minimal union a of the left models' options and a minimal
     union b of the right's: any union of one option per model contains
-    such a join.  Two memos serve them for the solver's lifetime: one
-    model's minimal options per (move kind and side, counts, grade), and
-    the per-side unions, which depend on one side only, per (move kind
-    and side, side mask, grade).
+    such a join.  A model's options are those of ``_options``, the rule
+    that ``legal_moves`` and ``apply_move`` read too.  Two memos serve
+    them for the solver's lifetime: one model's minimal option masks per
+    (exact, own side, counts, grade), and the per-side unions, which
+    depend on one side only, per (exact, own side, side mask, grade).
     """
 
     def __init__(self, vocab: Vocabulary, n: int, d: int):
@@ -399,35 +393,27 @@ class _Solver:
             yield low.bit_length() - 1
             mask ^= low
 
-    def _options(self, part: int, counts: tuple[int, ...], k: int):
-        """One model's minimal options in a move of grade k: ``part`` 0 and
-        1 are the left and right side of "<>=", 2 and 3 those of "<>==".
-        An option is packed like a successor, its left points low."""
-        key = (part, counts, k)
+    def _option_masks(self, exact: int, own: bool, counts: tuple[int, ...], k: int):
+        """One model's minimal options in a move of grade k, each packed
+        like a successor, its left points low."""
+        key = (exact, own, counts, k)
         found = self._option_cache.get(key)
         if found is None:
             mask, w = functools.partial(self._vec_mask, counts), self._width
-            picks = functools.partial(bounded_compositions, counts)
-            if part == 0:
-                masks = [mask(v) for v in picks(k)]
-            elif part == 1:
-                masks = [mask(v) << w for v in picks(self.n - k + 1)]
-            elif part == 2:  # k points on the left and the rest on the right
-                masks = [mask(v) | mask(_complement(counts, v)) << w for v in picks(k)]
-            else:
-                masks = [mask(v) for v in picks(k + 1)]
-                masks += [mask(v) << w for v in picks(self.n - k + 1)]
-            found = self._option_cache[key] = self._minimal(masks)
+            found = self._option_cache[key] = self._minimal(
+                mask(to_left) | mask(to_right) << w
+                for _, to_left, to_right in _options(exact, own, counts, k, self.n)
+            )
         return found
 
-    def _side(self, part: int, mask: int, k: int) -> tuple[int, ...]:
+    def _side(self, exact: int, own: bool, mask: int, k: int) -> tuple[int, ...]:
         """The minimal unions of one option per model of the side ``mask``."""
-        key = (part, mask, k)
+        key = (exact, own, mask, k)
         found = self._side_cache.get(key)
         if found is None:
             unions = {0}
             for i in self._bits(mask):
-                options = self._options(part, self._counts[i], k)
+                options = self._option_masks(exact, own, self._counts[i], k)
                 unions = {a | x for a in unions for x in options}
             found = self._side_cache[key] = self._minimal(unions)
         return found
@@ -438,8 +424,8 @@ class _Solver:
         side union."""
         return self._minimal({
             a | b
-            for a in self._side(2 * exact, A, k)
-            for b in self._side(2 * exact + 1, B, k)
+            for a in self._side(exact, True, A, k)
+            for b in self._side(exact, False, B, k)
         })
 
     def _counting_successors(self, A: int, B: int, cost: int):

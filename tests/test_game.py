@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -21,7 +21,9 @@ from gmlu.game import (
     strategy_trace,
 )
 from gmlu.formulas import Lit
-from gmlu.models import ModelProfile, PointedProfile, pointed_profiles
+from gmlu.models import (
+    ModelProfile, PointedProfile, enumerate_profiles, pointed_profiles,
+)
 from gmlu.vocab import Vocabulary
 
 from oracles import LabeledGame, counts_of, representative_profile
@@ -203,6 +205,61 @@ def test_every_legal_move_applies():
     for move in legal_moves(pos, 2, V1):
         outcome = apply_move(pos, move, V1)
         assert outcome.winner in (None, S_WINS, D_WINS)
+
+
+def _explicit_options(types: list[int], t: int, exact: int, own: bool, k: int) -> set:
+    """(selection, types sent left, types sent right) for every explicit
+    point subset that a grade-k counting move lets one labeled model with
+    point types ``types`` pick, as the game defines the move."""
+    n = len(types)
+    every = frozenset(range(n))
+
+    def picked(size: int):
+        for subset in combinations(range(n), size):
+            yield counts_of([types[p] for p in subset], t), frozenset(subset)
+
+    def touched(points) -> frozenset:
+        return frozenset(types[p] for p in points)
+
+    none = frozenset()
+    if own:
+        return {(vec, touched(s), touched(every - s) if exact else none)
+                for vec, s in picked(k)}
+    rest = {(vec, none, touched(s)) for vec, s in picked(n - k + 1)}
+    if not exact:
+        return rest
+    return {(("P", vec), touched(s), none) for vec, s in picked(k + 1)} | {
+        (("N", vec), none, sent) for vec, _, sent in rest
+    }
+
+
+def test_move_rule_matches_explicit_point_subsets():
+    """``legal_moves``, ``apply_move`` and the solver all read the counting
+    move rule ``game._options``, so it is checked here on its own against
+    explicit point subsets of a labeled model: at |tau|=1 for n <= 5 and
+    at |tau|=2 for n <= 2, for every counts vector, grade k in 0..n, both
+    kinds and both sides, each option's selection and touched-type pairs
+    are those of the subsets."""
+    checked = 0
+    for vocab, max_n in ((V1, 5), (Vocabulary(("p", "q")), 2)):
+        for n in range(1, max_n + 1):
+            for profile in enumerate_profiles(n, vocab):
+                counts = profile.counts
+                types = [i for i, c in enumerate(counts) for _ in range(c)]
+                for k, exact, own in product(range(n + 1), (0, 1), (True, False)):
+                    options = game._options(exact, own, counts, k, n)
+                    got = {
+                        (selection, *(frozenset(i for i, v in enumerate(sent) if v)
+                                      for sent in (left, right)))
+                        for selection, left, right in options
+                    }
+                    assert len(got) == len(options)
+                    assert got == _explicit_options(types, vocab.t, exact, own, k), (
+                        counts, k, exact, own
+                    )
+                    checked += 1
+    # (counts, k) pairs: 90 at |tau|=1 and 38 at |tau|=2, each with 2 kinds x 2 sides
+    assert checked == 4 * (90 + 38)
 
 
 def test_monotone_in_resource():
@@ -607,7 +664,7 @@ def test_warm_solver_successors_equal_a_cold_solvers():
         for right in sides:
             for r in range(5, 0, -1):
                 warm.least(r, warm.encode(left), warm.encode(right), False)
-    masks = sorted({mask for _, mask, _ in warm._side_cache})
+    masks = sorted({mask for _, _, mask, _ in warm._side_cache})
     assert len(masks) > 100
     rng = random.Random(4)
     for _ in range(300):

@@ -22,6 +22,10 @@ stderrs are compared:
   memo keys take the least of three literal-flip images, ``verify
   game-theorem --tau p,q --n 2 --d 1 --max-r 5 --max-side 2`` and the
   same at ``--max-r 7``, under ``GMLU_GAME_MAX_SYMBOLS=2``;
+- a |tau|=2 strategy trace whose "<>==" move labels three selections
+  with their "P" or "N" set over four point types, ``game trace --tau
+  p,q --d 2 --r 4 --left 0,0,1,1@2 --right 0,0,0,2@3 --right 1,0,1,0@0
+  --format json`` under ``GMLU_GAME_MAX_SYMBOLS=2``;
 - exact search beyond the benchmark's n=12: ``complexity --tau p --n 14
   --d 7 --exact`` and ``verify monotone --tau p --n 14 --d 7 --mode
   exact`` under ``GMLU_EXACT_MAX_N=14 GMLU_EXACT_MAX_D=7``, the same two
@@ -134,6 +138,10 @@ GRIDS: list[Command] = [
      ("verify", "game-theorem", "--tau", "p,q", "--n", "2", "--d", "1",
       "--max-r", r, "--max-side", "2"))
     for r in ("5", "7")
+] + [
+    ((("GMLU_GAME_MAX_SYMBOLS", "2"),),
+     ("game", "trace", "--tau", "p,q", "--d", "2", "--r", "4", "--left", "0,0,1,1@2",
+      "--right", "0,0,0,2@3", "--right", "1,0,1,0@0", "--format", "json")),
 ]
 
 EXACT: list[Command] = [
