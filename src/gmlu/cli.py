@@ -365,12 +365,11 @@ def _cmd_entropy_sweep(args, vocab, caps) -> _Report:
 
 def _complexity_row(tup, vocab, want_exact, max_size, caps) -> dict:
     ub = complexity.upper_bound(tup, vocab)
-    graph = complexity.build_cover_graph(tup)
     row = {
         "tuple": _tuple_text(tup.entries),
-        "lower": complexity.lower_bound(tup),
+        "lower": (lower := complexity.lower_bound(tup)),
         "upper": ub.value,
-        "cover_cost": complexity.find_min_cover(graph, caps)[0],
+        "cover_cost": lower,
         "canonical_formula_text": ub.formula_text,
         "closed_form": ub.closed_form,
         "closed_form_matches": ub.matches,
@@ -410,7 +409,7 @@ def _cmd_complexity(args, vocab, caps) -> _Report:
 def _cmd_cover(args, vocab, caps) -> _Report:
     tup = _parse_tuple(args.tuple, vocab, args.n, args.d)
     graph = complexity.build_cover_graph(tup)
-    cost, subset = complexity.find_min_cover(graph, caps)
+    cost, subset = complexity.find_min_cover(tup)
     return _Report(
         "cover",
         vocab,
@@ -432,7 +431,10 @@ def _cmd_cover(args, vocab, caps) -> _Report:
 def _cmd_game(args, vocab, caps) -> _Report:
     left = frozenset(_parse_pointed(s, vocab) for s in args.left or [])
     right = frozenset(_parse_pointed(s, vocab) for s in args.right or [])
-    pos = game.GamePosition(args.r, left, right)
+    try:
+        pos = game.GamePosition(args.r, left, right)
+    except ValueError as exc:  # models of mixed sizes
+        raise SystemExit(_usage_error(str(exc)))
     scalars = {
         "r": args.r,
         "d": args.d,

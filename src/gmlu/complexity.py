@@ -2,19 +2,19 @@
 
 Upper bounds come from explicit canonical defining formulas.  Lower
 bounds come from minimum-cost covers of a directed graph built from the
-class tuple; the cover cost is a certified obstruction in the formula
-size game.  A brute-force search over all depth-bounded formulas,
-deduplicated by semantic signature, supplies exact values at tiny scale
-and doubles as the separating-formula oracle for the game tests.  The
-exact value is decided below the canonical size by the search alone; the
-canonical size itself is settled by evaluating the canonical formula on
-every profile, so the search never builds that level just to find it.
+class tuple, which have a closed form; the cover cost is a certified
+obstruction in the formula size game.  A brute-force search over all
+depth-bounded formulas, deduplicated by semantic signature, supplies
+exact values at tiny scale and doubles as the separating-formula oracle
+for the game tests.  The exact value is decided below the canonical size
+by the search alone; the canonical size itself is settled by evaluating
+the canonical formula on every profile, so the search never builds that
+level just to find it.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import combinations
 from typing import NamedTuple
 
 from .classes import AdmissibleTuple, tuple_of_profile
@@ -132,10 +132,11 @@ class CoverGraph(NamedTuple):
     Vertices are the realized type indices.  Edges (i, j) exist for
     every ordered pair of distinct support indices, except from the
     designated largest-coordinate index to targets below the cap; each
-    edge records an adjacent class obtained by retyping one point.
+    edge records an adjacent class obtained by retyping one point.  A
+    subset of the vertices covers edge (i, j) when it holds i, or holds
+    j and j's entry sits below the cap.
     """
 
-    tup: AdmissibleTuple
     designated: int
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -152,38 +153,27 @@ def build_cover_graph(tup: AdmissibleTuple) -> CoverGraph:
         for j in supp
         if i != j and (i != jhat or tup.entries[j] == tup.d)
     )
-    return CoverGraph(tup, jhat, supp, edges)
+    return CoverGraph(jhat, supp, edges)
 
 
-def is_cover(graph: CoverGraph, subset: frozenset[int]) -> bool:
-    """A subset covers edge (i, j) through i, or through j when the
-    j-entry sits below the cap."""
-    entries, d = graph.tup.entries, graph.tup.d
-    return all(
-        i in subset or (j in subset and entries[j] < d) for i, j in graph.edges
-    )
+def find_min_cover(tup: AdmissibleTuple) -> tuple[int, frozenset[int]]:
+    """Minimum-cost cover of the tuple's cover graph, with its cost
+    ``lower_bound(tup)``.
 
-
-def cover_cost(graph: CoverGraph, subset: frozenset[int]) -> int:
-    return sum(graph.tup.entries[i] for i in subset)
-
-
-def find_min_cover(
-    graph: CoverGraph, caps: SearchCaps = DEFAULT_CAPS
-) -> tuple[int, frozenset[int]]:
-    """Exhaustive minimum-cost cover; deterministic tie-break by subset order."""
-    supp = graph.vertices
-    check_cap(caps, "cover_max_support", len(supp), "cover search support")
-    best: tuple[int, tuple[int, ...]] | None = None
-    for k in range(len(supp) + 1):
-        for combo in combinations(supp, k):
-            subset = frozenset(combo)
-            if is_cover(graph, subset):
-                cand = (cover_cost(graph, subset), combo)
-                if best is None or cand < best:
-                    best = cand
-    assert best is not None  # the full support always covers
-    return best[0], frozenset(best[1])
+    A vertex left out of a cover needs every out-edge to reach an
+    uncapped vertex of the cover, and two left-out vertices share an
+    edge that neither covers.  With two or more capped entries every
+    vertex has an edge to a capped vertex, so the cover is the whole
+    support.  Otherwise it is the support without the last index that
+    holds the largest entry (the capped one, if any): among the
+    cheapest covers, the least in sorted order.
+    """
+    keep = tup.support
+    if tup.k_d < 2:
+        e = tup.entries
+        last = len(e) - 1 - e[::-1].index(max(e))
+        keep = tuple(i for i in keep if i != last)
+    return lower_bound(tup), frozenset(keep)
 
 
 class FormulaSearch:

@@ -1,10 +1,10 @@
 """Scale caps for the exhaustive-search components.
 
-The brute-force pieces (minimal-formula search, game solving, cover
-search) are exponential and deliberately fenced to a tiny scale, and the
-row reports are fenced by the entries their admissible tuples store.  The
-defaults below can be overridden through ``GMLU_*`` environment
-variables, read once per CLI invocation.
+The brute-force pieces (minimal-formula search, game solving) are
+exponential and deliberately fenced to a tiny scale, and the row reports
+are fenced by the entries their admissible tuples store.  The defaults
+below can be overridden through ``GMLU_*`` environment variables, read
+once per CLI invocation.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class SearchCaps(NamedTuple):
     game_max_n: int = 4
     game_max_resource: int = 7
     game_max_models: int = 4
-    cover_max_support: int = 16
     enumerate_max_entries: int = 1 << 22
 
 

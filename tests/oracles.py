@@ -8,7 +8,9 @@ the step-by-step multinomial and the class size built from it.
 ``representative_profile`` names one model of a class, for tests that
 need a member rather than a count.  ``exact_complexity_by_search`` is
 the exact description complexity as the formula search alone decides
-it, level by level up to the canonical size.
+it, level by level up to the canonical size.  ``min_cover_by_search``
+tries every subset of a class's realized types for the minimum cover
+that the library writes in closed form.
 """
 
 from __future__ import annotations
@@ -122,6 +124,26 @@ def exact_complexity_by_search(tup, vocab: Vocabulary, max_size: int | None = No
     limit = max_size if max_size is not None else upper_bound(tup, vocab).value
     hit = search.first_outer_match(target.__eq__, limit)
     return hit[0] if hit else None
+
+
+def min_cover_by_search(tup) -> tuple[int, frozenset[int]]:
+    """Least (cost, sorted subset) over every subset of the realized types
+    that covers the cover graph.  The edges join every ordered pair of
+    distinct realized types, except from the first type with the largest
+    entry to a target below the cap d; a subset covers edge (i, j) when it
+    holds i, or holds j and j's entry is below d."""
+    e, d = tup.entries, tup.d
+    realized = [i for i, x in enumerate(e) if x > 0]
+    designated = e.index(max(e))
+    edges = [(i, j) for i in realized for j in realized
+             if i != j and (i != designated or e[j] == d)]
+    cost, subset = min(
+        (sum(e[i] for i in subset), subset)
+        for k in range(len(realized) + 1)
+        for subset in combinations(realized, k)
+        if all(i in subset or (j in subset and e[j] < d) for i, j in edges)
+    )
+    return cost, frozenset(subset)
 
 
 def choices_counts(rng, n: int, t: int) -> list[int]:

@@ -14,7 +14,6 @@ from itertools import combinations
 
 from gmlu.classes import class_size, enumerate_admissible, tuple_of_profile
 from gmlu.complexity import (
-    build_cover_graph,
     exact_complexity,
     find_min_cover,
     lower_bound,
@@ -34,7 +33,7 @@ from gmlu.game import D_WINS, S_WINS, check_game_formula_equivalence
 from gmlu.models import ModelProfile, pointed_profiles
 from gmlu.vocab import Vocabulary
 
-from oracles import counts_of, labeled_models, set_partitions
+from oracles import counts_of, labeled_models, min_cover_by_search, set_partitions
 
 V1 = Vocabulary(("p",))
 V2 = Vocabulary(("p", "q"))
@@ -128,7 +127,8 @@ def test_criterion_04_bound_sandwich_and_cover_agreement():
                 exact = exact_complexity(tup, V1)
                 assert exact is not None
                 assert lo <= exact <= hi, (tup, lo, exact, hi)
-                assert find_min_cover(build_cover_graph(tup))[0] == lo, tup
+                cover = find_min_cover(tup)
+                assert cover == min_cover_by_search(tup) and cover[0] == lo, tup
                 checked += 1
     report(4, True, f"sandwich and cover=lower on {checked} classes")
 

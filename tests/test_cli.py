@@ -125,6 +125,17 @@ def test_class_size_csv_schema(capsys):
     ]
 
 
+def test_cover_of_a_large_support(capsys):
+    # 17 realized types, all capped: the cover is the whole support
+    tup = ",".join(["1"] * 17 + ["0"] * 15)
+    scope = ("--tau", "a,b,c,d,e", "--n", "17", "--d", "1", "--tuple", tup)
+    cover = run_json(capsys, "cover", *scope)
+    assert cover["min_cost"] == cover["lower_bound"] == 17
+    assert cover["min_cover"] == cover["vertices"] == list(range(17))
+    (row,) = run_json(capsys, "complexity", *scope)["rows"]
+    assert row["cover_cost"] == row["lower"] == 17
+
+
 def test_zero_row_report_prints_an_empty_list(capsys):
     code, out = run(capsys, "cover", "--tau", "p", "--n", "1", "--d", "1",
                     "--tuple", "1,0", "--format", "json")
@@ -516,13 +527,15 @@ def test_bad_pointed_model_exit_code_2(capsys):
     assert exc.value.code == 2
 
 
-def test_mixed_model_sizes_exit_code_1(capsys):
-    # well-formed inputs that are mathematically incompatible (domain sizes
-    # 2 and 3 in one position) are a computation error, not a usage error
-    code = main(["game", "solve", "--tau", "p", "--d", "1", "--r", "2",
-                 "--left", "2,0@0", "--right", "2,1@0"])
-    assert code == 1
-    assert "mixed sizes" in capsys.readouterr().err
+def test_mixed_model_sizes_exit_code_2(capsys):
+    # pointed models of different domain sizes cannot share a position, a
+    # malformed input like any other bad pointed model
+    for action in ("solve", "trace"):
+        err = _assert_usage_error(capsys, [
+            "game", action, "--tau", "p", "--d", "1", "--r", "2",
+            "--left", "1,0@0", "--right", "2,0@0",
+        ])
+        assert err == "error: models of mixed sizes {1, 2} in one position\n"
 
 
 def test_game_solve_with_two_models_per_side(capsys):
@@ -563,8 +576,6 @@ def test_env_cap_override(capsys, monkeypatch):
      ["game", "trace", "--tau", "p", "--d", "1", "--r", "2",
       "--left", "3,0@0", "--left", "2,1@0", "--left", "2,1@1",
       "--right", "1,2@0", "--right", "0,3@1"]),
-    ("GMLU_COVER_MAX_SUPPORT", "1",
-     ["cover", "--tau", "p", "--n", "2", "--d", "1", "--tuple", "1,1"]),
     ("GMLU_ENUMERATE_MAX_ENTRIES", "10",
      ["verify", "monotone", "--tau", "p", "--n", "26", "--d", "6"]),
 ])

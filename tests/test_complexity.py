@@ -18,11 +18,16 @@ from gmlu.formulas import MODAL_TYPES, DiamondEq, Lit, format_formula, size
 from gmlu.models import ModelProfile, enumerate_profiles, evaluate, sat_types
 from gmlu.vocab import Vocabulary
 
-from oracles import exact_complexity_by_search, representative_profile
+from oracles import (
+    exact_complexity_by_search,
+    min_cover_by_search,
+    representative_profile,
+)
 
 V1 = Vocabulary(("p",))
 V2 = Vocabulary(("p", "q"))
 V3 = Vocabulary(("p", "q", "r"))
+V4 = Vocabulary(("p", "q", "r", "s"))
 
 
 # -- canonical formulas and the closed-form bounds ----------------------------
@@ -109,15 +114,17 @@ def test_gap_at_most_c_tau():
 
 
 def test_cover_graph_two_capped():
-    g = build_cover_graph(AdmissibleTuple((2, 2), 5, 2))
+    tup = AdmissibleTuple((2, 2), 5, 2)
+    g = build_cover_graph(tup)
     assert set(g.edges) == {(0, 1), (1, 0)}
-    assert find_min_cover(g)[0] == 4
+    assert find_min_cover(tup) == (4, frozenset({0, 1}))
 
 
 def test_cover_graph_single_vertex():
-    g = build_cover_graph(AdmissibleTuple((1, 0), 1, 1))
+    tup = AdmissibleTuple((1, 0), 1, 1)
+    g = build_cover_graph(tup)
     assert g.vertices == (0,) and g.edges == ()
-    assert find_min_cover(g)[0] == 0
+    assert find_min_cover(tup) == (0, frozenset())
 
 
 def test_cover_graph_mixed_support():
@@ -126,24 +133,25 @@ def test_cover_graph_mixed_support():
     assert g.designated == 1
     assert (0, 1) in g.edges and (1, 0) not in g.edges  # entry 0 is below d
     assert (1, 2) in g.edges  # capped target stays reachable from designated
-    cost, cover = find_min_cover(g)
+    cost, cover = find_min_cover(tup)
     assert cost == lower_bound(tup) == 5
     assert cover == frozenset({0, 1, 2})
 
 
 def test_min_cover_equals_lower_bound_everywhere():
-    for vocab in (V1, V2):
-        for n in range(1, 13 if vocab is V1 else 9):
-            for d in range(1, min(n, 4) + 1):
+    """The closed-form cover is the exhaustive search's, cost and subset
+    (so ties break as the search breaks them), on every admissible tuple
+    of the grid, and its cost is the lower bound."""
+    checked = 0
+    for vocab, max_n in ((V1, 12), (V2, 8), (V3, 6), (V4, 4)):
+        for n in range(1, max_n + 1):
+            for d in range(1, n + 1):
                 for tup in enumerate_admissible(n, d, vocab):
-                    g = build_cover_graph(tup)
-                    assert find_min_cover(g)[0] == lower_bound(tup), tup
-
-
-def test_cover_cap():
-    g = build_cover_graph(AdmissibleTuple((1, 1), 2, 1))
-    with pytest.raises(ScaleCapError):
-        find_min_cover(g, SearchCaps(cover_max_support=1))
+                    found = find_min_cover(tup)
+                    assert found == min_cover_by_search(tup), tup
+                    assert found[0] == lower_bound(tup), tup
+                    checked += 1
+    assert checked == 33_448
 
 
 # -- definability ---------------------------------------------------------------

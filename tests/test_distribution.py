@@ -434,6 +434,19 @@ def test_monotone_bounds_mode_matches_a_plain_pair_walk(monkeypatch, n, d):
         assert f.larger_complexity == fake_lower(f.larger)
 
 
+def test_monotone_exact_mode_fails_pairs_of_equal_complexity(monkeypatch):
+    """Exact mode asks for a strictly smaller complexity on the smaller
+    side of a pair: with every class made equally complex, each comparable
+    pair (whose sizes differ) fails.  No search runs."""
+    monkeypatch.setattr(distribution, "exact_complexity", lambda *a, **k: 7)
+    rep = verify_monotone_connection(26, 6, V1, mode="exact")
+    assert rep.pair_count == 2
+    assert len(rep.failures) == 2
+    for f in rep.failures:
+        assert f.smaller_size < f.larger_size
+        assert f.smaller_complexity == f.larger_complexity == 7
+
+
 def test_monotone_mode_validation():
     with pytest.raises(ValueError):
         verify_monotone_connection(4, 1, V1, mode="fast")

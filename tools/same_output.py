@@ -44,6 +44,14 @@ stderrs are compared:
   ``2`` and ``"not-found"``), ``cover`` (also with no edge, so no row),
   ``verify counting`` and ``verify stirling`` (no vocabulary, bool
   columns).
+- minimum covers with tied cheapest subsets, whose printed
+  ``min_cover`` is the tie-break: ``cover --tau p,q --n 4 --d 3 --tuple
+  1,1,1,1`` (four tied, none capped), ``cover --tau p,q --n 3 --d 2
+  --tuple 0,1,1,1``, ``cover --tau p,q --n 5 --d 2 --tuple 1,2,1,1`` (one
+  capped), ``cover --tau p,q --n 6 --d 2 --tuple 2,0,2,1`` (two capped)
+  and ``cover --tau p,q,r --n 8 --d 3 --tuple 1,1,1,1,1,1,1,1 --format
+  json``, with ``complexity --tau p,q --n 4 --d 2`` for the ``cover_cost``
+  column at |tau|=2;
 - row reports with two-digit entries, or with d far above n: ``tuples
   --tau p --n 24 --d 12 --format json``, ``class-size --tau p --n 24 --d
   12 --format json`` and ``entropy --tau p --n 3 --d 1000000``;
@@ -185,6 +193,16 @@ ROWS += [((), argv) for argv in (
     ("entropy", "--tau", "p", "--n", "3", "--d", "1000000"),
 )]
 
+TIES: list[Command] = [((), argv) for argv in (
+    ("cover", "--tau", "p,q", "--n", "4", "--d", "3", "--tuple", "1,1,1,1"),
+    ("cover", "--tau", "p,q", "--n", "3", "--d", "2", "--tuple", "0,1,1,1"),
+    ("cover", "--tau", "p,q", "--n", "5", "--d", "2", "--tuple", "1,2,1,1"),
+    ("cover", "--tau", "p,q", "--n", "6", "--d", "2", "--tuple", "2,0,2,1"),
+    ("cover", "--tau", "p,q,r", "--n", "8", "--d", "3", "--tuple", "1,1,1,1,1,1,1,1",
+     "--format", "json"),
+    ("complexity", "--tau", "p,q", "--n", "4", "--d", "2"),
+)]
+
 
 SEPARATION = [("p", 1, 1, 500), ("p,q,r", 12, 3, 3000),
               ("a,b,c,d,e,f,g,h", 2000, 1, 200), ("a,b,c,d,e,f,g,h,i", 4000, 1, 200),
@@ -252,7 +270,7 @@ def main(argv=None) -> int:
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     commands = list(dict.fromkeys(
         readme_commands() + workload_commands() + game_commands() + GRIDS + EXACT
-        + MONOTONE + ROWS + SAMPLING + ORBITS + DEFAULTS + REJECTED
+        + MONOTONE + ROWS + TIES + SAMPLING + ORBITS + DEFAULTS + REJECTED
     ))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:

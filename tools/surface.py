@@ -5,11 +5,13 @@ Usage, from the root of a checkout::
     python3 tools/surface.py
 
 It lists every (action, option) pair of ``gmlu``'s argument parser, one
-a line, then two totals: the lines of the ``src/gmlu`` modules and the
-number of pairs.  An action is a leaf of the parser, with each choice of
-a positional argument counted as its own action (``game solve`` and
-``game trace`` are two); an option is a flag of that leaf other than
-``--help`` and ``--format``, which every leaf has.
+a line, then three totals: the lines of the ``src/gmlu`` modules, the
+number of pairs and the number of ``GMLU_*`` environment overrides (the
+``SearchCaps`` fields), each as settable as an option.  An action is a
+leaf of the parser, with each choice of a positional argument counted as
+its own action (``game solve`` and ``game trace`` are two); an option is
+a flag of that leaf other than ``--help`` and ``--format``, which every
+leaf has.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 from gmlu.cli import build_parser  # noqa: E402
+from gmlu.config import SearchCaps  # noqa: E402
 
 SHARED = {"--help", "--format"}
 
@@ -50,6 +53,7 @@ def main() -> int:
     lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "gmlu").glob("*.py"))
     print(f"src/gmlu lines: {lines}")
     print(f"(action, option) pairs: {len(pairs)}")
+    print(f"GMLU_* overrides: {len(SearchCaps._fields)}")
     return 0
 
 
