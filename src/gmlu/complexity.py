@@ -4,12 +4,12 @@ Upper bounds come from explicit canonical defining formulas.  Lower
 bounds come from minimum-cost covers of a directed graph built from the
 class tuple, which have a closed form; the cover cost is a certified
 obstruction in the formula size game.  A brute-force search over all
-depth-bounded formulas, deduplicated by semantic signature, supplies
-exact values at tiny scale and doubles as the separating-formula oracle
-for the game tests.  The exact value is decided below the canonical size
-by the search alone; the canonical size itself is settled by evaluating
-the canonical formula on every profile, so the search never builds that
-level just to find it.
+depth-bounded formulas over one profile per class, deduplicated by
+semantic signature, supplies exact values at tiny scale and doubles as
+the separating-formula oracle for the game tests.  The exact value is
+decided below the canonical size by the search alone; the canonical size
+itself is settled by evaluating the canonical formula on each class's
+representative, so the search never builds that level just to find it.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .classes import AdmissibleTuple, tuple_of_profile
+from .classes import AdmissibleTuple
 from .config import DEFAULT_CAPS, SearchCaps, check_cap
 from .formulas import (
-    MODAL_TYPES,
     And,
     BoxLt,
     DiamondEq,
@@ -176,6 +175,11 @@ def find_min_cover(tup: AdmissibleTuple) -> tuple[int, frozenset[int]]:
     return lower_bound(tup), frozenset(keep)
 
 
+def _class_key(counts: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """The entries of the class of a profile with these counts."""
+    return tuple([c if c < d else d for c in counts])
+
+
 class FormulaSearch:
     """Size-ordered enumeration of depth-bounded formulas over a fixed
     profile family, deduplicated by semantic signature.
@@ -189,8 +193,12 @@ class FormulaSearch:
     sizes.  Formulas whose literals are all covered by a modality
     additionally get a global signature (one bit per profile); those
     are the candidates that can define or separate classes.  A counting
-    modality's global signature is read from tables, one byte of the
-    pointwise signature at a time.
+    diamond's global signature and its dual box's are read together
+    from one table, one byte of the pointwise signature at a time.
+
+    Outer level s reads only inner levels below it, so the And/Or
+    products of inner level s are built when level s + 1 is, and a
+    search never builds the products of its largest level.
 
     Grade-0 threshold modalities are semantically constant, so they are
     seeded once as size-1 constants instead of being re-derived at
@@ -203,9 +211,13 @@ class FormulaSearch:
         self.vocab = vocab
         self.d = d
         self.profiles = tuple(profiles)
-        self.index = {p.counts: i for i, p in enumerate(self.profiles)}
-        if len(self.index) != len(self.profiles):
+        if len({p.counts for p in self.profiles}) != len(self.profiles):
             raise ValueError("profiles must be distinct")
+        # the entries of each class met, mapped to its profiles' bits
+        self.class_bits: dict[tuple[int, ...], int] = {}
+        for i, p in enumerate(self.profiles):
+            key = _class_key(p.counts, d)
+            self.class_bits[key] = self.class_bits.get(key, 0) | 1 << i
         self.t = vocab.t
         self._full = (1 << self.t) - 1
         self._all_profiles_mask = (1 << len(self.profiles)) - 1
@@ -219,16 +231,19 @@ class FormulaSearch:
              for m in range(1 << self.t)]
             for p in self.profiles
         ]
-        # chunk c is `per` whole blocks (one byte while t <= 8) from bit
-        # shift, profile first; _modal_tables[cls, k][c][v] holds the global
-        # bits of cls(k, f) on those profiles when f's chunk c bits are v, for
-        # the grades _build_next reads (counting depth k + exact in 1..d)
+        # a chunk is `per` whole blocks (one byte while t <= 8) from bit
+        # shift, profile first; _modal_tables[dia, k] lists (shift, table)
+        # per chunk, where table[v] holds the global bits of dia(k, f), and
+        # len(profiles) bits higher those of dia.dual(k, f), on those
+        # profiles when f's chunk bits are v, for the grades _build_next
+        # reads (counting depth k + exact in 1..d)
         per = max(1, 8 // self.t)
         self._chunk_mask = (1 << per * self.t) - 1
-        self._chunks = [(i * self.t, i) for i in range(0, len(self.profiles), per)]
         self._modal_tables = {
-            (cls, k): [self._chunk_table(cls.holds, k, i, per) for _, i in self._chunks]
-            for cls in MODAL_TYPES for k in range(1 - cls.exact, d + 1 - cls.exact)
+            (dia, k): [(i * self.t, self._chunk_table(dia, k, i, per))
+                       for i in range(0, len(self.profiles), per)]
+            for dia in (DiamondGeq, DiamondEq)
+            for k in range(1 - dia.exact, d + 1 - dia.exact)
         }
         # level s holds the signatures first reached at size s; searches are
         # shared and extend lazily
@@ -240,15 +255,18 @@ class FormulaSearch:
 
     # -- signature helpers ------------------------------------------------
 
-    def _chunk_table(self, holds, k: int, first: int, per: int) -> bytes:
-        """Entry v has bit j set when the modality holds in profile
-        first+j for a formula whose types there are block j of v."""
+    def _chunk_table(self, dia, k: int, first: int, per: int) -> list[int]:
+        """Entry v has bit first+j set when dia(k, f) holds in profile
+        first+j, and bit first+j+len(profiles) when its dual does, for a
+        formula f whose types there are block j of v."""
+        box, high = dia.dual, len(self.profiles)
         table = [0]
-        for i in range(first, min(first + per, len(self.profiles))):
+        for i in range(first, min(first + per, high)):
             n = self.profiles[i].n
-            bit = [holds(c, n, k) << i - first for c in range(n + 1)]
+            bit = [dia.holds(c, n, k) << i | box.holds(c, n, k) << i + high
+                   for c in range(n + 1)]
             table = [bit[c] | low for c in self._point_tables[i] for low in table]
-        return bytes(table)
+        return table
 
     def _add_inner(self, sig: int, formula, level) -> None:
         if sig not in self._inner_seen:
@@ -273,6 +291,7 @@ class FormulaSearch:
         inner_new: dict = {}
         outer_new: dict = {}
         inner_seen, outer_seen = self._inner_seen, self._outer_seen
+        levels = self.inner_levels
         if s == 1:
             for sym in self.vocab.symbols:
                 for pos in (True, False):
@@ -283,21 +302,27 @@ class FormulaSearch:
                 self._all_profiles_mask, DiamondGeq(0, anchor), outer_new, inner_new
             )
             self._add_outer(0, BoxLt(0, anchor), outer_new, inner_new)
-        # boolean combinations of smaller pieces
+        # finish inner level s - 1 with boolean combinations of smaller pieces
+        last = levels[s - 1]
+        for s1 in range(1, s - 2):
+            s2 = s - 2 - s1
+            if s2 < s1:
+                break
+            for sig1, f1 in levels[s1].items():
+                for sig2, f2 in levels[s2].items():
+                    sig = sig1 & sig2
+                    if sig not in inner_seen:
+                        inner_seen.add(sig)
+                        last[sig] = And(f1, f2)
+                    sig = sig1 | sig2
+                    if sig not in inner_seen:
+                        inner_seen.add(sig)
+                        last[sig] = Or(f1, f2)
+        # boolean combinations of smaller sentences
         for s1 in range(1, s - 1):
             s2 = s - 1 - s1
             if s2 < s1:
                 break
-            for sig1, f1 in self.inner_levels[s1].items():
-                for sig2, f2 in self.inner_levels[s2].items():
-                    sig = sig1 & sig2
-                    if sig not in inner_seen:
-                        inner_seen.add(sig)
-                        inner_new[sig] = And(f1, f2)
-                    sig = sig1 | sig2
-                    if sig not in inner_seen:
-                        inner_seen.add(sig)
-                        inner_new[sig] = Or(f1, f2)
             for m1, f1 in self.outer_levels[s1].items():
                 for m2, f2 in self.outer_levels[s2].items():
                     if m1 & m2 not in outer_seen:
@@ -307,23 +332,22 @@ class FormulaSearch:
         # modal atoms over smaller inner pieces: a modality of counting
         # depth k + exact reads level s - k - exact
         depths = range(1, min(self.d, s - 1) + 1)
-        modal = [(depth - dia.exact, s - depth, dia, dia.dual)
-                 for dia in (DiamondGeq, DiamondEq) for depth in depths]
-        cm = self._chunk_mask
-        for k, s_inner, pos, neg in modal:
-            chunks = list(zip(self._chunks, self._modal_tables[pos, k],
-                              self._modal_tables[neg, k]))
-            for sig, f in self.inner_levels[s_inner].items():
-                pos_mask = neg_mask = 0
-                for (shift, first), pos_table, neg_table in chunks:
-                    v = sig >> shift & cm
-                    pos_mask |= pos_table[v] << first
-                    neg_mask |= neg_table[v] << first
-                if pos_mask not in outer_seen:
-                    self._add_outer(pos_mask, pos(k, f), outer_new, inner_new)
-                if neg_mask not in outer_seen:
-                    self._add_outer(neg_mask, neg(k, f), outer_new, inner_new)
-        self.inner_levels.append(inner_new)
+        cm, high = self._chunk_mask, len(self.profiles)
+        low = self._all_profiles_mask
+        for dia in (DiamondGeq, DiamondEq):
+            box = dia.dual
+            for depth in depths:
+                k = depth - dia.exact
+                chunks = self._modal_tables[dia, k]
+                for sig, f in levels[s - depth].items():
+                    both = 0
+                    for shift, table in chunks:
+                        both |= table[sig >> shift & cm]
+                    if both & low not in outer_seen:
+                        self._add_outer(both & low, dia(k, f), outer_new, inner_new)
+                    if both >> high not in outer_seen:
+                        self._add_outer(both >> high, box(k, f), outer_new, inner_new)
+        levels.append(inner_new)
         self.outer_levels.append(outer_new)
         self.max_built = s
 
@@ -341,7 +365,14 @@ class FormulaSearch:
 
 @functools.lru_cache(maxsize=8)
 def _search_for(vocab: Vocabulary, n: int, d: int) -> FormulaSearch:
-    return FormulaSearch(vocab, d, list(enumerate_profiles(n, vocab)))
+    """The search over one profile per class, the first of each class in
+    ``enumerate_profiles`` order: profiles of one class satisfy the same
+    depth-d sentences, so every other member's signature block repeats
+    its representative's."""
+    first: dict = {}
+    for p in enumerate_profiles(n, vocab):
+        first.setdefault(_class_key(p.counts, d), p)
+    return FormulaSearch(vocab, d, list(first.values()))
 
 
 def exact_complexity(
@@ -353,21 +384,19 @@ def exact_complexity(
     """Exact description complexity by brute-force search, or None when no
     defining formula exists within max_size (default: the canonical size).
 
-    The search runs over all size-n profiles, so a hit is a formula that
-    is true on exactly the class members.  It stops one size below the
-    canonical formula's; if nothing smaller defines the class, the
-    canonical formula is checked directly (depth within d, true on exactly
-    the class members) and its size is the answer.  Should that check
-    fail, the search goes on to max_size.  Enforced tiny scale.
+    The search runs over one size-n profile per class, so a hit is a
+    formula that is true on the class's representative alone.  It stops
+    one size below the canonical formula's; if nothing smaller defines
+    the class, the canonical formula is checked directly (depth within d,
+    true on the representative of the class and on no other) and its
+    size is the answer.  Should that check fail, the search goes on to
+    max_size.  Enforced tiny scale.
     """
     check_cap(caps, "exact_max_symbols", len(vocab.symbols), "exact-search |tau|")
     check_cap(caps, "exact_max_n", tup.n, "exact-search n")
     check_cap(caps, "exact_max_d", tup.d, "exact-search d")
     search = _search_for(vocab, tup.n, tup.d)
-    target = 0
-    for i, p in enumerate(search.profiles):
-        if tuple_of_profile(p, tup.d) == tup:
-            target |= 1 << i
+    target = search.class_bits.get(tup.entries, 0)
     ub = upper_bound(tup, vocab)
     limit = max_size if max_size is not None else ub.value
     is_target = target.__eq__
@@ -393,19 +422,17 @@ def minimal_separating_size(
     """Smallest formula of the depth-d fragment true on every profile of
     the first family and false on every profile of the second, or None.
 
-    Shares one cached size-n search per (vocabulary, d); families that
-    overlap are unseparable and return None immediately.
+    Shares one cached size-n search per (vocabulary, d), over one profile
+    per class; families that share a class are unseparable and return
+    None immediately.
     """
-    true_counts = {p.counts for p in true_profiles}
-    false_counts = {p.counts for p in false_profiles}
-    if true_counts & false_counts:
+    true_classes = {_class_key(p.counts, d) for p in true_profiles}
+    false_classes = {_class_key(p.counts, d) for p in false_profiles}
+    if true_classes & false_classes:
         return None
     search = _search_for(vocab, n, d)
-    need = avoid = 0
-    for c in true_counts:
-        need |= 1 << search.index[c]
-    for c in false_counts:
-        avoid |= 1 << search.index[c]
+    need = sum(search.class_bits[key] for key in true_classes)
+    avoid = sum(search.class_bits[key] for key in false_classes)
     return search.first_outer_match(
         lambda mask: (mask & need) == need and not (mask & avoid), max_size
     )

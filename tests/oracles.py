@@ -8,22 +8,24 @@ the step-by-step multinomial and the class size built from it.
 ``representative_profile`` names one model of a class, for tests that
 need a member rather than a count.  ``exact_complexity_by_search`` is
 the exact description complexity as the formula search alone decides
-it, level by level up to the canonical size.  ``min_cover_by_search``
+it, level by level up to the canonical size, over every size-n profile
+rather than the library's one profile per class.  ``min_cover_by_search``
 tries every subset of a class's realized types for the minimum cover
 that the library writes in closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from itertools import combinations, product
 
 from gmlu.classes import tuple_of_profile
 from gmlu.combinatorics import stirling_r_assoc
-from gmlu.complexity import _search_for, upper_bound
+from gmlu.complexity import FormulaSearch, upper_bound
 from gmlu.formulas import And, BoxLt, BoxNeq, DiamondEq, DiamondGeq, Lit, Or
-from gmlu.models import ModelProfile
+from gmlu.models import ModelProfile, enumerate_profiles
 from gmlu.vocab import Vocabulary
 
 
@@ -114,11 +116,17 @@ def representative_profile(tup) -> ModelProfile:
     return ModelProfile(tuple(counts))
 
 
+@functools.lru_cache(maxsize=8)
+def profile_search(vocab: Vocabulary, n: int, d: int) -> FormulaSearch:
+    """A formula search over every size-n profile, in enumeration order."""
+    return FormulaSearch(vocab, d, list(enumerate_profiles(n, vocab)))
+
+
 def exact_complexity_by_search(tup, vocab: Vocabulary, max_size: int | None = None):
     """Smallest size of a formula defining the class, searching every level
-    up to max_size (default: the canonical size), or None; the canonical
-    formula itself is never evaluated."""
-    search = _search_for(vocab, tup.n, tup.d)
+    up to max_size (default: the canonical size) over every size-n profile,
+    or None; the canonical formula itself is never evaluated."""
+    search = profile_search(vocab, tup.n, tup.d)
     target = sum(1 << i for i, p in enumerate(search.profiles)
                  if tuple_of_profile(p, tup.d) == tup)
     limit = max_size if max_size is not None else upper_bound(tup, vocab).value

@@ -556,7 +556,7 @@ def test_env_cap_override(capsys, monkeypatch):
     assert code == 1  # the override lowered the cap below n=3
 
 
-@pytest.mark.parametrize("variable, env, argv", [
+SCALE_CAP_CASES = [
     ("GMLU_EXACT_MAX_SYMBOLS", None,
      ["complexity", "--tau", "p,q", "--n", "2", "--d", "1", "--exact"]),
     ("GMLU_EXACT_MAX_N", None,
@@ -578,7 +578,11 @@ def test_env_cap_override(capsys, monkeypatch):
       "--right", "1,2@0", "--right", "0,3@1"]),
     ("GMLU_ENUMERATE_MAX_ENTRIES", "10",
      ["verify", "monotone", "--tau", "p", "--n", "26", "--d", "6"]),
-])
+]
+
+
+@pytest.mark.parametrize("variable, env, argv", SCALE_CAP_CASES,
+                         ids=[case[0] for case in SCALE_CAP_CASES])
 def test_scale_cap_error_names_its_override(capsys, monkeypatch, variable, env, argv):
     if env is not None:
         monkeypatch.setenv(variable, env)

@@ -14,13 +14,14 @@ from gmlu.complexity import (
     upper_bound,
 )
 from gmlu.config import ScaleCapError, SearchCaps
-from gmlu.formulas import MODAL_TYPES, DiamondEq, Lit, format_formula, size
+from gmlu.formulas import DiamondEq, DiamondGeq, Lit, format_formula, size
 from gmlu.models import ModelProfile, enumerate_profiles, evaluate, sat_types
 from gmlu.vocab import Vocabulary
 
 from oracles import (
     exact_complexity_by_search,
     min_cover_by_search,
+    profile_search,
     representative_profile,
 )
 
@@ -275,14 +276,97 @@ def test_search_rejects_duplicate_profiles():
 
 
 def test_search_builds_modal_tables_only_for_the_grades_it_reads():
-    # a modality of counting depth 1..d has grade depth - exact: 1..d for
-    # <>= and []<, 0..d-1 for <>== and []!=
+    # a diamond of counting depth 1..d has grade depth - exact: 1..d for <>=,
+    # 0..d-1 for <>==; its dual box is read from the diamond's table, and
+    # each (diamond, grade) has one table per chunk: the 13 profiles' 2-bit
+    # blocks make four chunks of up to four blocks
     profiles = list(enumerate_profiles(12, V1))
     search = FormulaSearch(V1, 6, profiles)
     assert set(search._modal_tables) == {
-        (cls, depth - cls.exact) for cls in MODAL_TYPES for depth in range(1, 7)
+        (dia, depth - dia.exact)
+        for dia in (DiamondGeq, DiamondEq) for depth in range(1, 7)
     }
-    assert len(search._modal_tables) == 24
+    assert len(search._modal_tables) == 12
+    assert all([shift for shift, _ in tables] == [0, 8, 16, 24]
+               for tables in search._modal_tables.values())
+
+
+def _found_size(hit):
+    return hit[0] if hit else None
+
+
+def test_per_class_search_finds_the_per_profile_sizes():
+    # profiles of one class satisfy the same depth-d sentences, so the search
+    # over one profile per class finds what a search over every profile
+    # finds: for each class as the target, and for families of profiles
+    # that span classes
+    grid = [(V1, n, d, 8) for n in range(1, 9) for d in range(1, min(n, 3) + 1)]
+    grid += [(V2, n, d, 9) for n, d in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2))]
+    targets = pairs = shared = found = 0
+    for vocab, n, d, max_size in grid:
+        search = complexity._search_for(vocab, n, d)
+        every = profile_search(vocab, n, d)
+        members: dict = {}
+        for i, p in enumerate(every.profiles):
+            members.setdefault(tuple_of_profile(p, d).entries, []).append(i)
+        # the first member of each class, in enumeration order
+        assert list(search.profiles) == [every.profiles[ids[0]]
+                                         for ids in members.values()]
+        classes = list(members.values())
+        for i, ids in enumerate(classes):
+            want = every.first_outer_match(sum(1 << j for j in ids).__eq__, max_size)
+            got = search.first_outer_match((1 << i).__eq__, max_size)
+            assert _found_size(got) == _found_size(want), (n, d, ids)
+            targets += 1
+            found += want is not None
+            if len(ids) > 1:
+                # two members of one class: never separable
+                one, other = every.profiles[ids[0]], every.profiles[ids[-1]]
+                assert every.first_outer_match(
+                    lambda mask: mask >> ids[0] & 1 and not mask >> ids[-1] & 1,
+                    max_size) is None
+                assert minimal_separating_size(vocab, d, n, [one], [other],
+                                               max_size) is None
+                shared += 1
+        # one member each of two classes against a member of a third
+        for window in zip(classes, classes[1:], classes[2:]):
+            for k in range(3):
+                true_ids = [window[k - 1][-1], window[k - 2][0]]
+                false_ids = [window[k][-1]]
+                need = sum(1 << j for j in true_ids)
+                avoid = sum(1 << j for j in false_ids)
+                want = every.first_outer_match(
+                    lambda mask: mask & need == need and not mask & avoid, max_size)
+                true_family = [every.profiles[j] for j in true_ids]
+                false_family = [every.profiles[j] for j in false_ids]
+                got = minimal_separating_size(vocab, d, n, true_family,
+                                              false_family, max_size)
+                assert _found_size(got) == _found_size(want), (n, d, window, k)
+                if got is not None:
+                    assert all(evaluate(p, got[1], vocab) for p in true_family)
+                    assert not any(evaluate(p, got[1], vocab) for p in false_family)
+                    found += 1
+                pairs += 1
+    assert (targets, pairs, shared, found) == (149, 291, 18, 420)
+
+
+def test_search_built_in_steps_matches_one_built_at_once():
+    # a level's And/Or products are built when the next level is, so a search
+    # extended one level per query holds the same signatures per level as
+    # one built to the same size in a single query
+    for vocab, n, d, max_size in ((V1, 6, 2, 10), (V1, 12, 6, 9), (V2, 3, 1, 9)):
+        profiles = list(enumerate_profiles(n, vocab))
+        steps = FormulaSearch(vocab, d, profiles)
+        for s in range(1, max_size + 1):
+            assert steps.first_outer_match(lambda mask: False, s) is None
+            assert steps.max_built == s
+        once = FormulaSearch(vocab, d, profiles)
+        assert once.first_outer_match(lambda mask: False, max_size) is None
+        assert once.max_built == max_size
+        assert ([set(level) for level in steps.outer_levels]
+                == [set(level) for level in once.outer_levels])
+        assert ([set(level) for level in steps.inner_levels]
+                == [set(level) for level in once.inner_levels])
 
 
 def test_search_signatures_match_the_semantics():

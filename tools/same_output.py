@@ -36,6 +36,11 @@ stderrs are compared:
   found below its canonical size) under ``GMLU_EXACT_MAX_SYMBOLS=2``, and
   ``complexity --tau p,q,r --n 1 --d 1 --exact`` under
   ``GMLU_EXACT_MAX_SYMBOLS=3``;
+- exact search where classes are far fewer than profiles (the search
+  keeps one profile per class): ``verify monotone --tau p --n 64 --d 6
+  --mode exact`` under ``GMLU_EXACT_MAX_N=64 GMLU_EXACT_MAX_D=6`` and
+  ``verify monotone --tau p --n 32 --d 9 --mode exact`` under
+  ``GMLU_EXACT_MAX_N=32 GMLU_EXACT_MAX_D=9``;
 - the monotone connection in bounds mode at |tau|=2 over 288,288
   comparable pairs, ``verify monotone --tau p,q --n 48 --d 12``;
 - each row report in all three formats at small scale: ``tuples``,
@@ -166,6 +171,12 @@ EXACT += [
      ("complexity", "--tau", "p,q", "--n", "3", "--d", "1", "--exact")),
     ((("GMLU_EXACT_MAX_SYMBOLS", "3"),),
      ("complexity", "--tau", "p,q,r", "--n", "1", "--d", "1", "--exact")),
+]
+EXACT += [
+    ((("GMLU_EXACT_MAX_N", str(n)), ("GMLU_EXACT_MAX_D", str(d))),
+     ("verify", "monotone", "--tau", "p", "--n", str(n), "--d", str(d),
+      "--mode", "exact"))
+    for n, d in ((64, 6), (32, 9))
 ]
 
 MONOTONE: list[Command] = [
