@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .classes import AdmissibleTuple
+from .classes import AdmissibleTuple, _admissible_entries, tuple_of_profile
 from .config import DEFAULT_CAPS, SearchCaps, check_cap
 from .formulas import (
     And,
@@ -31,7 +31,7 @@ from .formulas import (
     format_formula,
     size,
 )
-from .models import ModelProfile, enumerate_profiles, evaluate
+from .models import ModelProfile, evaluate
 from .vocab import Vocabulary
 
 
@@ -175,11 +175,6 @@ def find_min_cover(tup: AdmissibleTuple) -> tuple[int, frozenset[int]]:
     return lower_bound(tup), frozenset(keep)
 
 
-def _class_key(counts: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """The entries of the class of a profile with these counts."""
-    return tuple([c if c < d else d for c in counts])
-
-
 class FormulaSearch:
     """Size-ordered enumeration of depth-bounded formulas over a fixed
     profile family, deduplicated by semantic signature.
@@ -196,9 +191,12 @@ class FormulaSearch:
     diamond's global signature and its dual box's are read together
     from one table, one byte of the pointwise signature at a time.
 
-    Outer level s reads only inner levels below it, so the And/Or
-    products of inner level s are built when level s + 1 is, and a
-    search never builds the products of its largest level.
+    Each signature is stored once, in ``inner_formulas`` or
+    ``outer_formulas`` with its smallest formula; ``inner_levels[s]`` and
+    ``outer_levels[s]`` list those first reached at size s.  Outer level
+    s reads only inner levels below it, so the And/Or products of inner
+    level s are built when level s + 1 is, and a search never builds the
+    products of its largest level.
 
     Grade-0 threshold modalities are semantically constant, so they are
     seeded once as size-1 constants instead of being re-derived at
@@ -216,7 +214,7 @@ class FormulaSearch:
         # the entries of each class met, mapped to its profiles' bits
         self.class_bits: dict[tuple[int, ...], int] = {}
         for i, p in enumerate(self.profiles):
-            key = _class_key(p.counts, d)
+            key = tuple_of_profile(p, d).entries
             self.class_bits[key] = self.class_bits.get(key, 0) | 1 << i
         self.t = vocab.t
         self._full = (1 << self.t) - 1
@@ -245,12 +243,11 @@ class FormulaSearch:
             for dia in (DiamondGeq, DiamondEq)
             for k in range(1 - dia.exact, d + 1 - dia.exact)
         }
-        # level s holds the signatures first reached at size s; searches are
-        # shared and extend lazily
-        self.inner_levels: list[dict] = [{}]
-        self.outer_levels: list[dict] = [{}]
-        self._inner_seen: set = set()
-        self._outer_seen: set = set()
+        # searches are shared and extend lazily
+        self.inner_formulas: dict[int, Formula] = {}
+        self.outer_formulas: dict[int, Formula] = {}
+        self.inner_levels: list[list[int]] = [[]]
+        self.outer_levels: list[list[int]] = [[]]
         self.max_built = 0
 
     # -- signature helpers ------------------------------------------------
@@ -263,72 +260,72 @@ class FormulaSearch:
         table = [0]
         for i in range(first, min(first + per, high)):
             n = self.profiles[i].n
-            bit = [dia.holds(c, n, k) << i | box.holds(c, n, k) << i + high
-                   for c in range(n + 1)]
-            table = [bit[c] | low for c in self._point_tables[i] for low in table]
+            bits = [dia.holds(c, n, k) << i | box.holds(c, n, k) << i + high
+                    for c in self._point_tables[i]]
+            table = [bit | low for bit in bits for low in table]
         return table
 
-    def _add_inner(self, sig: int, formula, level) -> None:
-        if sig not in self._inner_seen:
-            self._inner_seen.add(sig)
-            level[sig] = formula
+    def _add_inner(self, sig: int, formula) -> None:
+        if sig not in self.inner_formulas:
+            self.inner_formulas[sig] = formula
+            self.inner_levels[-1].append(sig)
 
-    def _add_outer(self, mask: int, formula, outer_level, inner_level) -> None:
-        # a known mask already put its spread signature in the inner seen set
-        if mask in self._outer_seen:
+    def _add_outer(self, mask: int, formula) -> None:
+        # a known mask already put its spread signature in the inner store
+        if mask in self.outer_formulas:
             return
-        self._outer_seen.add(mask)
-        outer_level[mask] = formula
+        self.outer_formulas[mask] = formula
+        self.outer_levels[-1].append(mask)
         sig = sum(
             self._full << sh for i, sh in enumerate(self._shifts) if mask >> i & 1
         )
-        self._add_inner(sig, formula, inner_level)
+        self._add_inner(sig, formula)
 
     # -- enumeration -------------------------------------------------------
 
     def _build_next(self) -> None:
         s = self.max_built + 1
-        inner_new: dict = {}
-        outer_new: dict = {}
-        inner_seen, outer_seen = self._inner_seen, self._outer_seen
-        levels = self.inner_levels
-        if s == 1:
-            for sym in self.vocab.symbols:
-                for pos in (True, False):
-                    mask = sum(1 << j for j in self.vocab.literal_types(sym, pos))
-                    self._add_inner(mask * self._every_block, Lit(sym, pos), inner_new)
-            anchor = Lit(self.vocab.symbols[0], True)
-            self._add_outer(
-                self._all_profiles_mask, DiamondGeq(0, anchor), outer_new, inner_new
-            )
-            self._add_outer(0, BoxLt(0, anchor), outer_new, inner_new)
+        inner, outer = self.inner_formulas, self.outer_formulas
+        levels, outer_levels = self.inner_levels, self.outer_levels
         # finish inner level s - 1 with boolean combinations of smaller pieces
         last = levels[s - 1]
         for s1 in range(1, s - 2):
             s2 = s - 2 - s1
             if s2 < s1:
                 break
-            for sig1, f1 in levels[s1].items():
-                for sig2, f2 in levels[s2].items():
+            for sig1 in levels[s1]:
+                f1 = inner[sig1]
+                for sig2 in levels[s2]:
                     sig = sig1 & sig2
-                    if sig not in inner_seen:
-                        inner_seen.add(sig)
-                        last[sig] = And(f1, f2)
+                    if sig not in inner:
+                        inner[sig] = And(f1, inner[sig2])
+                        last.append(sig)
                     sig = sig1 | sig2
-                    if sig not in inner_seen:
-                        inner_seen.add(sig)
-                        last[sig] = Or(f1, f2)
+                    if sig not in inner:
+                        inner[sig] = Or(f1, inner[sig2])
+                        last.append(sig)
+        levels.append([])
+        outer_levels.append([])
+        if s == 1:
+            for sym in self.vocab.symbols:
+                for pos in (True, False):
+                    mask = sum(1 << j for j in self.vocab.literal_types(sym, pos))
+                    self._add_inner(mask * self._every_block, Lit(sym, pos))
+            anchor = Lit(self.vocab.symbols[0], True)
+            self._add_outer(self._all_profiles_mask, DiamondGeq(0, anchor))
+            self._add_outer(0, BoxLt(0, anchor))
         # boolean combinations of smaller sentences
         for s1 in range(1, s - 1):
             s2 = s - 1 - s1
             if s2 < s1:
                 break
-            for m1, f1 in self.outer_levels[s1].items():
-                for m2, f2 in self.outer_levels[s2].items():
-                    if m1 & m2 not in outer_seen:
-                        self._add_outer(m1 & m2, And(f1, f2), outer_new, inner_new)
-                    if m1 | m2 not in outer_seen:
-                        self._add_outer(m1 | m2, Or(f1, f2), outer_new, inner_new)
+            for m1 in outer_levels[s1]:
+                f1 = outer[m1]
+                for m2 in outer_levels[s2]:
+                    if m1 & m2 not in outer:
+                        self._add_outer(m1 & m2, And(f1, outer[m2]))
+                    if m1 | m2 not in outer:
+                        self._add_outer(m1 | m2, Or(f1, outer[m2]))
         # modal atoms over smaller inner pieces: a modality of counting
         # depth k + exact reads level s - k - exact
         depths = range(1, min(self.d, s - 1) + 1)
@@ -339,16 +336,14 @@ class FormulaSearch:
             for depth in depths:
                 k = depth - dia.exact
                 chunks = self._modal_tables[dia, k]
-                for sig, f in levels[s - depth].items():
+                for sig in levels[s - depth]:
                     both = 0
                     for shift, table in chunks:
                         both |= table[sig >> shift & cm]
-                    if both & low not in outer_seen:
-                        self._add_outer(both & low, dia(k, f), outer_new, inner_new)
-                    if both >> high not in outer_seen:
-                        self._add_outer(both >> high, box(k, f), outer_new, inner_new)
-        levels.append(inner_new)
-        self.outer_levels.append(outer_new)
+                    if both & low not in outer:
+                        self._add_outer(both & low, dia(k, inner[sig]))
+                    if both >> high not in outer:
+                        self._add_outer(both >> high, box(k, inner[sig]))
         self.max_built = s
 
     def first_outer_match(self, predicate, max_size: int):
@@ -357,22 +352,26 @@ class FormulaSearch:
         for s in range(1, max_size + 1):
             while s > self.max_built:
                 self._build_next()
-            for mask, formula in self.outer_levels[s].items():
+            for mask in self.outer_levels[s]:
                 if predicate(mask):
-                    return s, formula
+                    return s, self.outer_formulas[mask]
         return None
 
 
 @functools.lru_cache(maxsize=8)
 def _search_for(vocab: Vocabulary, n: int, d: int) -> FormulaSearch:
-    """The search over one profile per class, the first of each class in
-    ``enumerate_profiles`` order: profiles of one class satisfy the same
-    depth-d sentences, so every other member's signature block repeats
-    its representative's."""
-    first: dict = {}
-    for p in enumerate_profiles(n, vocab):
-        first.setdefault(_class_key(p.counts, d), p)
-    return FormulaSearch(vocab, d, list(first.values()))
+    """The search over one size-n profile per class, the least in count
+    order: its entries, with the surplus points on the last capped type.
+    Other members would repeat its signature blocks, which depend on the
+    entries alone, so once n >= t*d (every tuple with an entry d is
+    admissible) the search is the same at every n."""
+    reps = []
+    for e in _admissible_entries(n, d, vocab.t, False):
+        counts = list(e)
+        if d in e:
+            counts[len(e) - 1 - e[::-1].index(d)] += n - sum(e)
+        reps.append(ModelProfile(tuple(counts)))
+    return FormulaSearch(vocab, d, sorted(reps))
 
 
 def exact_complexity(
@@ -390,10 +389,9 @@ def exact_complexity(
     the class, the canonical formula is checked directly (depth within d,
     true on the representative of the class and on no other) and its
     size is the answer.  Should that check fail, the search goes on to
-    max_size.  Enforced tiny scale.
+    max_size.  Capped in |tau| and d; its cost does not grow with n.
     """
     check_cap(caps, "exact_max_symbols", len(vocab.symbols), "exact-search |tau|")
-    check_cap(caps, "exact_max_n", tup.n, "exact-search n")
     check_cap(caps, "exact_max_d", tup.d, "exact-search d")
     search = _search_for(vocab, tup.n, tup.d)
     target = search.class_bits.get(tup.entries, 0)
@@ -426,8 +424,8 @@ def minimal_separating_size(
     per class; families that share a class are unseparable and return
     None immediately.
     """
-    true_classes = {_class_key(p.counts, d) for p in true_profiles}
-    false_classes = {_class_key(p.counts, d) for p in false_profiles}
+    true_classes = {tuple_of_profile(p, d).entries for p in true_profiles}
+    false_classes = {tuple_of_profile(p, d).entries for p in false_profiles}
     if true_classes & false_classes:
         return None
     search = _search_for(vocab, n, d)

@@ -19,8 +19,7 @@ class ScaleCapError(ValueError):
 
 class SearchCaps(NamedTuple):
     exact_max_symbols: int = 1
-    exact_max_n: int = 6
-    exact_max_d: int = 3
+    exact_max_d: int = 6
     game_max_symbols: int = 1
     game_max_n: int = 4
     game_max_resource: int = 7

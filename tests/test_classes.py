@@ -241,8 +241,11 @@ def test_enumeration_cap_refuses_a_huge_count_without_counting_it(monkeypatch):
 
 def test_search_caps_take_keywords_and_environment(monkeypatch):
     caps = SearchCaps(game_max_n=5, enumerate_max_entries=9)
-    assert (caps.game_max_n, caps.enumerate_max_entries, caps.exact_max_n) == (5, 9, 6)
+    assert (caps.game_max_n, caps.enumerate_max_entries, caps.exact_max_d) == (5, 9, 6)
     monkeypatch.setenv("GMLU_EXACT_MAX_D", "5")
+    # GMLU_* names that are not SearchCaps fields are ignored, GMLU_EXACT_MAX_N too
+    monkeypatch.setenv("GMLU_EXACT_MAX_N", "2")
+    monkeypatch.setenv("GMLU_NO_SUCH_CAP", "x")
     assert caps_from_env() == SearchCaps(exact_max_d=5)
     monkeypatch.setenv("GMLU_GAME_MAX_N", "four")
     with pytest.raises(ValueError) as exc:

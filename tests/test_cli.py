@@ -389,9 +389,10 @@ def test_verify_monotone_defaults_check_pairs(capsys):
     payload = run_json(capsys, "verify", "monotone")
     assert (payload["n"], payload["d"], payload["pairs"]) == (26, 6, 2)
     assert payload["ok"] is True
-    # exact mode cannot reach a comparable pair under the default caps
-    assert main(["verify", "monotone", "--mode", "exact"]) == 1
-    assert "GMLU_EXACT_MAX_N" in capsys.readouterr().err
+    # exact mode runs at the same defaults, under the default caps
+    payload = run_json(capsys, "verify", "monotone", "--mode", "exact")
+    assert (payload["n"], payload["d"], payload["pairs"]) == (26, 6, 2)
+    assert payload["ok"] is True
 
 
 def test_verify_game_theorem(capsys):
@@ -508,7 +509,7 @@ def test_usage_error_exit_code_2():
 
 def test_scale_cap_exit_code_1(capsys):
     code = main(
-        ["complexity", "--tau", "p", "--n", "30", "--d", "1", "--exact"]
+        ["complexity", "--tau", "p", "--n", "30", "--d", "7", "--exact"]
     )
     assert code == 1
     assert "cap" in capsys.readouterr().err
@@ -549,20 +550,18 @@ def test_game_solve_with_two_models_per_side(capsys):
 
 
 def test_env_cap_override(capsys, monkeypatch):
-    monkeypatch.setenv("GMLU_EXACT_MAX_N", "2")
+    monkeypatch.setenv("GMLU_EXACT_MAX_D", "1")
     code = main(
-        ["complexity", "--tau", "p", "--n", "3", "--d", "1", "--exact"]
+        ["complexity", "--tau", "p", "--n", "3", "--d", "2", "--exact"]
     )
-    assert code == 1  # the override lowered the cap below n=3
+    assert code == 1  # the override lowered the cap below d=2
 
 
 SCALE_CAP_CASES = [
     ("GMLU_EXACT_MAX_SYMBOLS", None,
      ["complexity", "--tau", "p,q", "--n", "2", "--d", "1", "--exact"]),
-    ("GMLU_EXACT_MAX_N", None,
-     ["complexity", "--tau", "p", "--n", "7", "--d", "1", "--exact"]),
     ("GMLU_EXACT_MAX_D", None,
-     ["complexity", "--tau", "p", "--n", "6", "--d", "4", "--exact"]),
+     ["complexity", "--tau", "p", "--n", "14", "--d", "7", "--exact"]),
     ("GMLU_GAME_MAX_SYMBOLS", None,
      ["game", "solve", "--tau", "p,q", "--d", "1", "--r", "2",
       "--left", "2,0,0,0@0", "--right", "1,1,0,0@0"]),

@@ -207,7 +207,7 @@ def test_exact_equals_the_search_alone():
     # with and without max_size, at, above and below the canonical size
     grid = [(V1, n, d) for n in range(1, 13) for d in range(1, min(n, 6) + 1)]
     grid += [(V2, n, d) for n in (1, 2) for d in range(1, n + 1)]
-    caps = SearchCaps(exact_max_symbols=2, exact_max_n=12, exact_max_d=6)
+    caps = SearchCaps(exact_max_symbols=2)
     cases = at_canonical = 0
     for vocab, n, d in grid:
         for tup in enumerate_admissible(n, d, vocab):
@@ -225,9 +225,8 @@ def test_exact_falls_back_to_the_search_when_the_canonical_formula_fails(
     monkeypatch,
 ):
     tup = AdmissibleTuple((1, 6), 12, 6)
-    caps = SearchCaps(exact_max_n=12, exact_max_d=6)
     complexity._search_for.cache_clear()
-    assert exact_complexity(tup, V1, caps=caps) == 3
+    assert exact_complexity(tup, V1) == 3
     search = complexity._search_for(V1, 12, 6)
     assert search.max_built == 2  # level 3 settled by evaluation alone
     # same size, but it defines 6|1, not 1|6
@@ -239,13 +238,13 @@ def test_exact_falls_back_to_the_search_when_the_canonical_formula_fails(
         lambda t, v: wrong if t == tup else real(t, v),
     )
     assert upper_bound(tup, V1).value == size(wrong) == 3
-    assert exact_complexity(tup, V1, caps=caps) == 3
+    assert exact_complexity(tup, V1) == 3
     assert search.max_built == 3
 
 
 def test_exact_scale_cap():
     with pytest.raises(ScaleCapError):
-        exact_complexity(AdmissibleTuple((1, 1), 20, 1), V1)
+        exact_complexity(AdmissibleTuple((7, 7), 14, 7), V1)
     with pytest.raises(ScaleCapError):
         exact_complexity(AdmissibleTuple((1, 1, 0, 0), 2, 1), V2)
 
@@ -302,6 +301,10 @@ def test_per_class_search_finds_the_per_profile_sizes():
     # that span classes
     grid = [(V1, n, d, 8) for n in range(1, 9) for d in range(1, min(n, 3) + 1)]
     grid += [(V2, n, d, 9) for n, d in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2))]
+    # d above n, where no count reaches the cap, and |tau|=3 at n <= 2
+    grid += [(V1, n, d, 8) for n, d in ((1, 2), (2, 4), (3, 5))]
+    grid += [(V2, 2, 3, 9)]
+    grid += [(V3, n, d, 5) for n, d in ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3))]
     targets = pairs = shared = found = 0
     for vocab, n, d, max_size in grid:
         search = complexity._search_for(vocab, n, d)
@@ -347,7 +350,46 @@ def test_per_class_search_finds_the_per_profile_sizes():
                     assert not any(evaluate(p, got[1], vocab) for p in false_family)
                     found += 1
                 pairs += 1
-    assert (targets, pairs, shared, found) == (149, 291, 18, 420)
+    assert (targets, pairs, shared, found) == (292, 666, 18, 814)
+
+
+def test_families_that_share_a_class_skip_the_search(monkeypatch):
+    # (2, 1) and (1, 2) are both in class 1|1 at d=1: no sentence of the
+    # fragment tells them apart, so no search is needed to say so
+    def no_search(*args):
+        raise AssertionError("searched families that share a class")
+
+    monkeypatch.setattr(complexity, "_search_for", no_search)
+    assert minimal_separating_size(
+        V1, 1, 3, [ModelProfile((2, 1))], [ModelProfile((1, 2))], 9) is None
+
+
+def _level_sizes(search):
+    return ([len(level) for level in search.inner_levels],
+            [len(level) for level in search.outer_levels])
+
+
+def test_exact_search_does_not_depend_on_n_past_t_times_d():
+    # once n >= t*d the classes are the tuples with an entry d, and a type
+    # of d or more points reads the same to every modality of the fragment,
+    # so the answers and the search's work are the same at every such n
+    complexity._search_for.cache_clear()  # each search built by this test alone
+    big = 10**9
+    for d in range(1, 7):
+        small_tuples = enumerate_admissible(2 * d, d, V1)
+        for tup in small_tuples:
+            same = AdmissibleTuple(tup.entries, big, d)
+            assert exact_complexity(tup, V1) == exact_complexity(same, V1), tup
+        small = complexity._search_for(V1, 2 * d, d)
+        large = complexity._search_for(V1, big, d)
+        assert len(small.profiles) == len(large.profiles) == len(small_tuples)
+        assert small.max_built == large.max_built
+        assert _level_sizes(small) == _level_sizes(large), d
+    # at |tau|=2, d=1 as well, through level 8
+    searches = [complexity._search_for(V2, n, 1) for n in (4, 50)]
+    for search in searches:
+        assert search.first_outer_match(lambda mask: False, 8) is None
+    assert _level_sizes(searches[0]) == _level_sizes(searches[1])
 
 
 def test_search_built_in_steps_matches_one_built_at_once():
@@ -384,15 +426,20 @@ def test_search_signatures_match_the_semantics():
         search.first_outer_match(lambda mask: False, max_size)
         assert search.max_built == max_size
         full = (1 << vocab.t) - 1
+        # each signature is stored once, in the level that first reached it
+        assert sum(map(len, search.inner_levels)) == len(search.inner_formulas)
+        assert sum(map(len, search.outer_levels)) == len(search.outer_formulas)
         for s, level in enumerate(search.inner_levels):
-            for sig, f in level.items():
+            for sig in level:
+                f = search.inner_formulas[sig]
                 assert size(f) == s
                 for i, profile in enumerate(profiles):
                     types = sum(1 << j for j in sat_types(f, profile, vocab))
                     block = (sig >> i * vocab.t) & full
                     assert block == types, (format_formula(f), profile.counts)
         for s, level in enumerate(search.outer_levels):
-            for mask, f in level.items():
+            for mask in level:
+                f = search.outer_formulas[mask]
                 assert size(f) == s
                 for i, profile in enumerate(profiles):
                     holds = bool((mask >> i) & 1)

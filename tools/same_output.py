@@ -31,7 +31,10 @@ stderrs are compared:
   exact`` under ``GMLU_EXACT_MAX_N=14 GMLU_EXACT_MAX_D=7``, the same two
   at n=16, d=8 under ``GMLU_EXACT_MAX_N=16 GMLU_EXACT_MAX_D=8`` (where
   the canonical level, which the search leaves to evaluation, is the
-  costliest), ``complexity --tau p,q --n 2 --d 2 --exact`` and
+  costliest), the same two at n=40, d=6 under ``GMLU_EXACT_MAX_N=40
+  GMLU_EXACT_MAX_D=6`` (past n = t*d, where the classes and their
+  complexities no longer change with n), ``complexity --tau p,q --n 2
+  --d 2 --exact`` and
   ``complexity --tau p,q --n 3 --d 1 --exact`` (whose hardest class is
   found below its canonical size) under ``GMLU_EXACT_MAX_SYMBOLS=2``, and
   ``complexity --tau p,q,r --n 1 --d 1 --exact`` under
@@ -40,7 +43,10 @@ stderrs are compared:
   keeps one profile per class): ``verify monotone --tau p --n 64 --d 6
   --mode exact`` under ``GMLU_EXACT_MAX_N=64 GMLU_EXACT_MAX_D=6`` and
   ``verify monotone --tau p --n 32 --d 9 --mode exact`` under
-  ``GMLU_EXACT_MAX_N=32 GMLU_EXACT_MAX_D=9``;
+  ``GMLU_EXACT_MAX_N=32 GMLU_EXACT_MAX_D=9``.  The exact search has no
+  n cap any more, so the change ignores ``GMLU_EXACT_MAX_N``; it stays
+  in these environments because a base revision from before the n cap
+  was dropped still reads it;
 - the monotone connection in bounds mode at |tau|=2 over 288,288
   comparable pairs, ``verify monotone --tau p,q --n 48 --d 12``;
 - each row report in all three formats at small scale: ``tuples``,
@@ -159,7 +165,7 @@ GRIDS: list[Command] = [
 
 EXACT: list[Command] = [
     ((("GMLU_EXACT_MAX_N", str(n)), ("GMLU_EXACT_MAX_D", str(d))), argv)
-    for n, d in ((14, 7), (16, 8))
+    for n, d in ((14, 7), (16, 8), (40, 6))
     for argv in (("complexity", "--tau", "p", "--n", str(n), "--d", str(d), "--exact"),
                  ("verify", "monotone", "--tau", "p", "--n", str(n), "--d", str(d),
                   "--mode", "exact"))
