@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .classes import AdmissibleTuple, _admissible_entries, tuple_of_profile
+from .classes import AdmissibleTuple, _admissible_entries, admissible_count, tuple_of_profile
 from .config import DEFAULT_CAPS, SearchCaps, check_cap
 from .formulas import (
     And,
@@ -198,9 +198,9 @@ class FormulaSearch:
     level s are built when level s + 1 is, and a search never builds the
     products of its largest level.
 
-    Grade-0 threshold modalities are semantically constant, so they are
-    seeded once as size-1 constants instead of being re-derived at
-    every size.
+    Grade-0 threshold modalities are constant, so they are seeded once at
+    size 1.  A level is refused while the cells stored (table entries and
+    signatures) pass ``caps.search_max_cells``.
     """
 
     def __init__(self, vocab: Vocabulary, d: int, profiles: list[ModelProfile]):
@@ -243,6 +243,7 @@ class FormulaSearch:
             for dia in (DiamondGeq, DiamondEq)
             for k in range(1 - dia.exact, d + 1 - dia.exact)
         }
+        self.table_cells = sum(len(tb) for tbs in self._modal_tables.values() for _, tb in tbs)
         # searches are shared and extend lazily
         self.inner_formulas: dict[int, Formula] = {}
         self.outer_formulas: dict[int, Formula] = {}
@@ -283,9 +284,11 @@ class FormulaSearch:
 
     # -- enumeration -------------------------------------------------------
 
-    def _build_next(self) -> None:
+    def _build_next(self, caps: SearchCaps) -> None:
         s = self.max_built + 1
         inner, outer = self.inner_formulas, self.outer_formulas
+        cells = self.table_cells + len(inner) + len(outer)
+        check_cap(caps, "search_max_cells", cells, "formula-search cells")
         levels, outer_levels = self.inner_levels, self.outer_levels
         # finish inner level s - 1 with boolean combinations of smaller pieces
         last = levels[s - 1]
@@ -346,12 +349,12 @@ class FormulaSearch:
                         self._add_outer(both >> high, box(k, inner[sig]))
         self.max_built = s
 
-    def first_outer_match(self, predicate, max_size: int):
+    def first_outer_match(self, predicate, max_size: int, caps: SearchCaps = DEFAULT_CAPS):
         """Smallest (size, formula) whose global signature satisfies the
         predicate, or None when nothing matches up to max_size."""
         for s in range(1, max_size + 1):
             while s > self.max_built:
-                self._build_next()
+                self._build_next(caps)
             for mask in self.outer_levels[s]:
                 if predicate(mask):
                     return s, self.outer_formulas[mask]
@@ -359,14 +362,23 @@ class FormulaSearch:
 
 
 @functools.lru_cache(maxsize=8)
-def _search_for(vocab: Vocabulary, n: int, d: int) -> FormulaSearch:
+def _search_for(vocab: Vocabulary, n: int, d: int, caps: SearchCaps) -> FormulaSearch:
     """The search over one size-n profile per class, the least in count
     order: its entries, with the surplus points on the last capped type.
     Other members would repeat its signature blocks, which depend on the
     entries alone, so once n >= t*d (every tuple with an entry d is
-    admissible) the search is the same at every n."""
+    admissible) the search is the same at every n.  It is built at min(d,
+    n): a grade above n only rebuilds the size-1 constants.  Before any
+    profile is listed, the 2d modal tables (2^(k*t) entries per chunk of k
+    profiles; past 2^64, one profile's) are checked against the cells cap."""
+    d, t, per = min(d, n), vocab.t, max(1, 8 // vocab.t)
+    cells = 2 * d << t
+    if cells <= max(caps.search_max_cells, 2**64):
+        full, rest = divmod(admissible_count(n, d, t), per)
+        cells = 2 * d * ((full << per * t) + (rest and 1 << rest * t))
+    check_cap(caps, "search_max_cells", cells, "formula-search cells")
     reps = []
-    for e in _admissible_entries(n, d, vocab.t, False):
+    for e in _admissible_entries(n, d, t, False):
         counts = list(e)
         if d in e:
             counts[len(e) - 1 - e[::-1].index(d)] += n - sum(e)
@@ -389,23 +401,22 @@ def exact_complexity(
     the class, the canonical formula is checked directly (depth within d,
     true on the representative of the class and on no other) and its
     size is the answer.  Should that check fail, the search goes on to
-    max_size.  Capped in |tau| and d; its cost does not grow with n.
+    max_size.  Its cost follows |tau| and min(d, n), not n; a ScaleCapError
+    refuses a search storing more than ``caps.search_max_cells`` cells.
     """
-    check_cap(caps, "exact_max_symbols", len(vocab.symbols), "exact-search |tau|")
-    check_cap(caps, "exact_max_d", tup.d, "exact-search d")
-    search = _search_for(vocab, tup.n, tup.d)
+    search = _search_for(vocab, tup.n, tup.d, caps)
     target = search.class_bits.get(tup.entries, 0)
     ub = upper_bound(tup, vocab)
     limit = max_size if max_size is not None else ub.value
     is_target = target.__eq__
-    hit = search.first_outer_match(is_target, min(limit, ub.value - 1))
+    hit = search.first_outer_match(is_target, min(limit, ub.value - 1), caps)
     if hit is None and ub.value <= limit:
         if counting_depth(ub.formula) <= tup.d and all(
             evaluate(p, ub.formula, vocab) == bool(target >> i & 1)
             for i, p in enumerate(search.profiles)
         ):
             return ub.value
-        hit = search.first_outer_match(is_target, limit)
+        hit = search.first_outer_match(is_target, limit, caps)
     return hit[0] if hit else None
 
 
@@ -416,21 +427,22 @@ def minimal_separating_size(
     true_profiles,
     false_profiles,
     max_size: int,
+    caps: SearchCaps = DEFAULT_CAPS,
 ) -> tuple[int, Formula] | None:
     """Smallest formula of the depth-d fragment true on every profile of
     the first family and false on every profile of the second, or None.
 
-    Shares one cached size-n search per (vocabulary, d), over one profile
-    per class; families that share a class are unseparable and return
-    None immediately.
+    Shares one cached size-n search per (vocabulary, d, caps), over one
+    profile per class; families that share a class are unseparable and
+    return None immediately.
     """
     true_classes = {tuple_of_profile(p, d).entries for p in true_profiles}
     false_classes = {tuple_of_profile(p, d).entries for p in false_profiles}
     if true_classes & false_classes:
         return None
-    search = _search_for(vocab, n, d)
+    search = _search_for(vocab, n, d, caps)
     need = sum(search.class_bits[key] for key in true_classes)
     avoid = sum(search.class_bits[key] for key in false_classes)
     return search.first_outer_match(
-        lambda mask: (mask & need) == need and not (mask & avoid), max_size
+        lambda mask: (mask & need) == need and not (mask & avoid), max_size, caps
     )

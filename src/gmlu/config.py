@@ -18,8 +18,7 @@ class ScaleCapError(ValueError):
 
 
 class SearchCaps(NamedTuple):
-    exact_max_symbols: int = 1
-    exact_max_d: int = 6
+    search_max_cells: int = 1 << 15
     game_max_symbols: int = 1
     game_max_n: int = 4
     game_max_resource: int = 7
@@ -53,10 +52,10 @@ def caps_from_env() -> SearchCaps:
             try:
                 values[name] = int(raw)
             except ValueError:
-                raise ValueError(
-                    f"environment override {_env_name(name)}={raw!r} "
-                    "is not an integer"
-                ) from None
+                values[name] = -1  # refused below with the negative values
+            if values[name] < 0:
+                raise ValueError(f"environment override {_env_name(name)}={raw!r} "
+                                 "is not an integer >= 0")
     return SearchCaps(**values)
 
 

@@ -646,12 +646,8 @@ def check_game_formula_equivalence(
         found = (1, _trivial_truth(vocab)) if resource >= 1 else None
     else:
         found = minimal_separating_size(
-            vocab,
-            d,
-            pos.n,
-            [pm.profile for pm in pos.left],
-            [pm.profile for pm in pos.right],
-            resource,
+            vocab, d, pos.n, [pm.profile for pm in pos.left],
+            [pm.profile for pm in pos.right], resource, caps,
         )
     size = found[0] if found else None
     return GameFormulaCheck(

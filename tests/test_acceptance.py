@@ -149,8 +149,8 @@ def test_criterion_05_game_formula_equivalence_grid():
                         assert chk.agree, (n, d, r, left, right, chk)
                         instances += 1
     # |tau|=2, where the complexity bounds are loose: at most one model per
-    # side, d=1, both searches' caps raised to two symbols
-    caps = SearchCaps(game_max_symbols=2, exact_max_symbols=2)
+    # side, d=1, the game's cap raised to two symbols
+    caps = SearchCaps(game_max_symbols=2)
     winners = Counter()
     for n in (1, 2, 3):
         sides = [frozenset()] + [frozenset([pm]) for pm in pointed_profiles(n, V2)]
@@ -250,7 +250,7 @@ def test_criterion_09_monotone_connection():
             rep = verify_monotone_connection(n, d, V1, mode="exact")
             assert rep.ok
             exact_pairs += rep.pair_count
-    caps = SearchCaps(exact_max_d=9)
+    caps = SearchCaps(search_max_cells=1 << 17)  # d=9 stores 106,452 cells
     for n, d in ((12, 6), (14, 7), (16, 8), (18, 9)):
         rep = verify_monotone_connection(n, d, V1, "exact", caps)
         assert rep.ok, (n, d, rep.failures[:3])

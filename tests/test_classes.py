@@ -241,18 +241,22 @@ def test_enumeration_cap_refuses_a_huge_count_without_counting_it(monkeypatch):
 
 def test_search_caps_take_keywords_and_environment(monkeypatch):
     caps = SearchCaps(game_max_n=5, enumerate_max_entries=9)
-    assert (caps.game_max_n, caps.enumerate_max_entries, caps.exact_max_d) == (5, 9, 6)
-    monkeypatch.setenv("GMLU_EXACT_MAX_D", "5")
-    # GMLU_* names that are not SearchCaps fields are ignored, GMLU_EXACT_MAX_N too
-    monkeypatch.setenv("GMLU_EXACT_MAX_N", "2")
+    assert (caps.game_max_n, caps.enumerate_max_entries, caps.search_max_cells) == (
+        5, 9, 1 << 15)
+    monkeypatch.setenv("GMLU_SEARCH_MAX_CELLS", "0")
+    # GMLU_* names that are not SearchCaps fields are ignored, the dropped
+    # exact-search caps too
+    for gone in ("GMLU_EXACT_MAX_N", "GMLU_EXACT_MAX_D", "GMLU_EXACT_MAX_SYMBOLS"):
+        monkeypatch.setenv(gone, "2")
     monkeypatch.setenv("GMLU_NO_SUCH_CAP", "x")
-    assert caps_from_env() == SearchCaps(exact_max_d=5)
-    monkeypatch.setenv("GMLU_GAME_MAX_N", "four")
-    with pytest.raises(ValueError) as exc:
-        caps_from_env()
-    assert str(exc.value) == (
-        "environment override GMLU_GAME_MAX_N='four' is not an integer"
-    )
+    assert caps_from_env() == SearchCaps(search_max_cells=0)
+    for bad in ("four", "-1"):
+        monkeypatch.setenv("GMLU_GAME_MAX_N", bad)
+        with pytest.raises(ValueError) as exc:
+            caps_from_env()
+        assert str(exc.value) == (
+            f"environment override GMLU_GAME_MAX_N={bad!r} is not an integer >= 0"
+        )
 
 
 def test_admissible_tuple_is_an_immutable_value():

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gmlu import distribution, game
 from gmlu.cli import _Report, _class_rows, _json_text, _write_json, main
+from gmlu.config import SearchCaps
 from gmlu.vocab import Vocabulary
 
 
@@ -420,7 +421,8 @@ def test_game_theorem_searches_once_per_position(capsys, monkeypatch):
     # with no model is settled without a search
     assert payload["instances"] == 5 * 5 * 4
     assert len(searches) == 5 * 5 - 1
-    assert {args[-1] for args in searches} == {4}
+    # each with the budget --max-r and the caps of the run
+    assert {args[5:] for args in searches} == {(4, SearchCaps())}
 
 
 def test_game_theorem_solves_once_per_position(capsys, monkeypatch):
@@ -509,7 +511,7 @@ def test_usage_error_exit_code_2():
 
 def test_scale_cap_exit_code_1(capsys):
     code = main(
-        ["complexity", "--tau", "p", "--n", "30", "--d", "7", "--exact"]
+        ["complexity", "--tau", "p", "--n", "30", "--d", "8", "--exact"]
     )
     assert code == 1
     assert "cap" in capsys.readouterr().err
@@ -550,18 +552,17 @@ def test_game_solve_with_two_models_per_side(capsys):
 
 
 def test_env_cap_override(capsys, monkeypatch):
-    monkeypatch.setenv("GMLU_EXACT_MAX_D", "1")
-    code = main(
-        ["complexity", "--tau", "p", "--n", "3", "--d", "2", "--exact"]
-    )
-    assert code == 1  # the override lowered the cap below d=2
+    argv = ["complexity", "--tau", "p", "--n", "3", "--d", "2", "--exact"]
+    monkeypatch.setenv("GMLU_SEARCH_MAX_CELLS", "100")
+    assert main(argv) == 1  # the override lowered the cap below d=2's cells
+    # and it raises the cap past what d=8 stores
+    monkeypatch.setenv("GMLU_SEARCH_MAX_CELLS", str(1 << 16))
+    assert main(["complexity", "--tau", "p", "--n", "16", "--d", "8", "--exact"]) == 0
 
 
 SCALE_CAP_CASES = [
-    ("GMLU_EXACT_MAX_SYMBOLS", None,
-     ["complexity", "--tau", "p,q", "--n", "2", "--d", "1", "--exact"]),
-    ("GMLU_EXACT_MAX_D", None,
-     ["complexity", "--tau", "p", "--n", "14", "--d", "7", "--exact"]),
+    ("GMLU_SEARCH_MAX_CELLS", None,
+     ["complexity", "--tau", "p", "--n", "16", "--d", "8", "--exact"]),
     ("GMLU_GAME_MAX_SYMBOLS", None,
      ["game", "solve", "--tau", "p,q", "--d", "1", "--r", "2",
       "--left", "2,0,0,0@0", "--right", "1,1,0,0@0"]),
@@ -672,6 +673,16 @@ def test_non_integer_cap_override_exit_code_2(capsys, monkeypatch):
         "--left", "2,0@0", "--right", "1,1@0",
     ])
     assert "GMLU_GAME_MAX_N='x' is not an integer" in err
+
+
+def test_negative_cap_override_exit_code_2(capsys, monkeypatch):
+    # a negative cap would refuse every search, each as a computation error
+    monkeypatch.setenv("GMLU_GAME_MAX_N", "-1")
+    err = _assert_usage_error(capsys, [
+        "game", "solve", "--tau", "p", "--d", "1", "--r", "2",
+        "--left", "2,0@0", "--right", "1,1@0",
+    ])
+    assert err == "error: environment override GMLU_GAME_MAX_N='-1' is not an integer >= 0\n"
 
 
 @pytest.mark.parametrize("argv, flag", [

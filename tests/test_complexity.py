@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from gmlu import complexity
@@ -13,9 +15,16 @@ from gmlu.complexity import (
     type_formula,
     upper_bound,
 )
-from gmlu.config import ScaleCapError, SearchCaps
+from gmlu.config import DEFAULT_CAPS, ScaleCapError, SearchCaps
 from gmlu.formulas import DiamondEq, DiamondGeq, Lit, format_formula, size
-from gmlu.models import ModelProfile, enumerate_profiles, evaluate, sat_types
+from gmlu.game import check_game_formula_equivalence
+from gmlu.models import (
+    ModelProfile,
+    PointedProfile,
+    enumerate_profiles,
+    evaluate,
+    sat_types,
+)
 from gmlu.vocab import Vocabulary
 
 from oracles import (
@@ -207,14 +216,13 @@ def test_exact_equals_the_search_alone():
     # with and without max_size, at, above and below the canonical size
     grid = [(V1, n, d) for n in range(1, 13) for d in range(1, min(n, 6) + 1)]
     grid += [(V2, n, d) for n in (1, 2) for d in range(1, n + 1)]
-    caps = SearchCaps(exact_max_symbols=2)
     cases = at_canonical = 0
     for vocab, n, d in grid:
         for tup in enumerate_admissible(n, d, vocab):
             ub = upper_bound(tup, vocab).value
             for max_size in (None, ub - 1, ub, ub + 1, max(lower_bound(tup) - 1, 0)):
                 want = exact_complexity_by_search(tup, vocab, max_size)
-                got = exact_complexity(tup, vocab, max_size, caps)
+                got = exact_complexity(tup, vocab, max_size)
                 assert got == want, (tup, max_size)
                 cases += 1
                 at_canonical += max_size is None and want == ub
@@ -227,7 +235,7 @@ def test_exact_falls_back_to_the_search_when_the_canonical_formula_fails(
     tup = AdmissibleTuple((1, 6), 12, 6)
     complexity._search_for.cache_clear()
     assert exact_complexity(tup, V1) == 3
-    search = complexity._search_for(V1, 12, 6)
+    search = complexity._search_for(V1, 12, 6, DEFAULT_CAPS)
     assert search.max_built == 2  # level 3 settled by evaluation alone
     # same size, but it defines 6|1, not 1|6
     wrong = DiamondEq(1, Lit("p", False))
@@ -242,11 +250,91 @@ def test_exact_falls_back_to_the_search_when_the_canonical_formula_fails(
     assert search.max_built == 3
 
 
+CELLS_CAP = "set GMLU_SEARCH_MAX_CELLS to raise it"
+
+
 def test_exact_scale_cap():
-    with pytest.raises(ScaleCapError):
-        exact_complexity(AdmissibleTuple((7, 7), 14, 7), V1)
-    with pytest.raises(ScaleCapError):
-        exact_complexity(AdmissibleTuple((1, 1, 0, 0), 2, 1), V2)
+    # d=8 stores 53,448 cells at |tau|=1, past the default 2^15; |tau|=3 at
+    # n=2 is refused by its modal tables alone, 4 * 36 * 2^8 = 36,864 cells
+    with pytest.raises(ScaleCapError, match=CELLS_CAP):
+        exact_complexity(AdmissibleTuple((8, 8), 16, 8), V1)
+    with pytest.raises(ScaleCapError, match="formula-search cells 36864 exceeds "
+                       "the cap 32768; " + CELLS_CAP):
+        exact_complexity(AdmissibleTuple((1, 1, 0, 0, 0, 0, 0, 0), 2, 2), V3)
+
+
+def test_every_caller_of_the_search_is_fenced_by_its_cells():
+    small = SearchCaps(search_max_cells=200)
+    tup = AdmissibleTuple((2, 1), 3, 2)
+    with pytest.raises(ScaleCapError, match=CELLS_CAP):
+        exact_complexity(tup, V1, caps=small)
+    lo, hi = ModelProfile((2, 1)), ModelProfile((1, 2))
+    with pytest.raises(ScaleCapError, match=CELLS_CAP):
+        minimal_separating_size(V1, 2, 3, [lo], [hi], 8, small)
+    left = [PointedProfile(lo, 0)]
+    right = [PointedProfile(hi, 0)]
+    with pytest.raises(ScaleCapError, match=CELLS_CAP):
+        check_game_formula_equivalence(6, left, right, 2, V1, small)
+    # under the default cap all three answer
+    assert exact_complexity(tup, V1) is not None
+    assert check_game_formula_equivalence(6, left, right, 2, V1).agree
+
+
+@pytest.mark.parametrize("symbols", [5, 13])
+def test_wide_vocabularies_are_refused_before_any_profile_is_listed(
+    symbols, monkeypatch
+):
+    # t = 2^|tau| types: one profile's 2^t-entry tables already pass the cap,
+    # so no profile is listed, and at |tau|=13 (past 2^64 cells) the classes
+    # are not even counted
+    monkeypatch.setattr(complexity, "_admissible_entries", None)
+    if symbols == 13:
+        monkeypatch.setattr(complexity, "admissible_count", None)
+    vocab = Vocabulary(tuple(f"s{i}" for i in range(symbols)))
+    tup = AdmissibleTuple((1,) + (0,) * (vocab.t - 1), 1, 1)
+    start = time.perf_counter()
+    with pytest.raises(ScaleCapError, match=CELLS_CAP):
+        exact_complexity(tup, vocab)
+    with pytest.raises(ScaleCapError, match=CELLS_CAP):
+        minimal_separating_size(vocab, 1, 1, [ModelProfile(tup.entries)], [], 3)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_refused_search_resumes_as_a_fresh_search_would():
+    # the cells are checked before a level is built, so a refused search
+    # holds whole levels and, asked again under a larger cap, builds the
+    # same levels as a search that was never refused
+    profiles = list(complexity._search_for(V1, 12, 6, DEFAULT_CAPS).profiles)
+    refused = FormulaSearch(V1, 6, profiles)
+    with pytest.raises(ScaleCapError, match="exceeds the cap 12000"):
+        refused.first_outer_match(lambda mask: False, 14,
+                                  SearchCaps(search_max_cells=12000))
+    assert 0 < refused.max_built < 14
+    assert len(refused.inner_levels) == len(refused.outer_levels) == refused.max_built + 1
+    assert refused.first_outer_match(lambda mask: False, 14) is None
+    fresh = FormulaSearch(V1, 6, profiles)
+    assert fresh.first_outer_match(lambda mask: False, 14) is None
+    assert refused.inner_levels == fresh.inner_levels
+    assert refused.outer_levels == fresh.outer_levels
+    assert refused.inner_formulas == fresh.inner_formulas
+
+
+def test_tables_are_counted_before_the_profiles_are_listed():
+    # the count taken before the profiles are listed is the entries of the
+    # tables built from them: a cap one below refuses the search, and at
+    # that cap it builds exactly one level
+    # (at |tau|=1, n=12, d=6: 13 profiles in chunks of 4, 4, 4 and 1, twelve tables)
+    assert complexity._search_for(V1, 12, 6, DEFAULT_CAPS).table_cells == 12 * (
+        3 * 2**8 + 2**2)
+    for vocab, n, d in ((V1, 12, 6), (V1, 1, 1), (V1, 3, 9), (V2, 3, 2), (V3, 1, 1)):
+        cells = complexity._search_for(vocab, n, d, DEFAULT_CAPS).table_cells
+        with pytest.raises(ScaleCapError, match=f"cells {cells} exceeds the cap {cells - 1};"):
+            complexity._search_for(vocab, n, d, SearchCaps(search_max_cells=cells - 1))
+        exact = SearchCaps(search_max_cells=cells)
+        search = complexity._search_for(vocab, n, d, exact)
+        with pytest.raises(ScaleCapError):
+            search.first_outer_match(lambda mask: False, 2, exact)
+        assert search.max_built == 1
 
 
 # -- separating-formula search ----------------------------------------------------
@@ -305,9 +393,11 @@ def test_per_class_search_finds_the_per_profile_sizes():
     grid += [(V1, n, d, 8) for n, d in ((1, 2), (2, 4), (3, 5))]
     grid += [(V2, 2, 3, 9)]
     grid += [(V3, n, d, 5) for n, d in ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3))]
+    # the tables of |tau|=3 at n=2 pass the default cap
+    caps = SearchCaps(search_max_cells=1 << 17)
     targets = pairs = shared = found = 0
     for vocab, n, d, max_size in grid:
-        search = complexity._search_for(vocab, n, d)
+        search = complexity._search_for(vocab, n, d, caps)
         every = profile_search(vocab, n, d)
         members: dict = {}
         for i, p in enumerate(every.profiles):
@@ -317,8 +407,9 @@ def test_per_class_search_finds_the_per_profile_sizes():
                                          for ids in members.values()]
         classes = list(members.values())
         for i, ids in enumerate(classes):
-            want = every.first_outer_match(sum(1 << j for j in ids).__eq__, max_size)
-            got = search.first_outer_match((1 << i).__eq__, max_size)
+            want = every.first_outer_match(sum(1 << j for j in ids).__eq__,
+                                           max_size, caps)
+            got = search.first_outer_match((1 << i).__eq__, max_size, caps)
             assert _found_size(got) == _found_size(want), (n, d, ids)
             targets += 1
             found += want is not None
@@ -327,9 +418,9 @@ def test_per_class_search_finds_the_per_profile_sizes():
                 one, other = every.profiles[ids[0]], every.profiles[ids[-1]]
                 assert every.first_outer_match(
                     lambda mask: mask >> ids[0] & 1 and not mask >> ids[-1] & 1,
-                    max_size) is None
+                    max_size, caps) is None
                 assert minimal_separating_size(vocab, d, n, [one], [other],
-                                               max_size) is None
+                                               max_size, caps) is None
                 shared += 1
         # one member each of two classes against a member of a third
         for window in zip(classes, classes[1:], classes[2:]):
@@ -339,11 +430,11 @@ def test_per_class_search_finds_the_per_profile_sizes():
                 need = sum(1 << j for j in true_ids)
                 avoid = sum(1 << j for j in false_ids)
                 want = every.first_outer_match(
-                    lambda mask: mask & need == need and not mask & avoid, max_size)
+                    lambda mask: mask & need == need and not mask & avoid, max_size, caps)
                 true_family = [every.profiles[j] for j in true_ids]
                 false_family = [every.profiles[j] for j in false_ids]
                 got = minimal_separating_size(vocab, d, n, true_family,
-                                              false_family, max_size)
+                                              false_family, max_size, caps)
                 assert _found_size(got) == _found_size(want), (n, d, window, k)
                 if got is not None:
                     assert all(evaluate(p, got[1], vocab) for p in true_family)
@@ -380,16 +471,35 @@ def test_exact_search_does_not_depend_on_n_past_t_times_d():
         for tup in small_tuples:
             same = AdmissibleTuple(tup.entries, big, d)
             assert exact_complexity(tup, V1) == exact_complexity(same, V1), tup
-        small = complexity._search_for(V1, 2 * d, d)
-        large = complexity._search_for(V1, big, d)
+        small = complexity._search_for(V1, 2 * d, d, DEFAULT_CAPS)
+        large = complexity._search_for(V1, big, d, DEFAULT_CAPS)
         assert len(small.profiles) == len(large.profiles) == len(small_tuples)
         assert small.max_built == large.max_built
         assert _level_sizes(small) == _level_sizes(large), d
     # at |tau|=2, d=1 as well, through level 8
-    searches = [complexity._search_for(V2, n, 1) for n in (4, 50)]
+    searches = [complexity._search_for(V2, n, 1, DEFAULT_CAPS) for n in (4, 50)]
     for search in searches:
         assert search.first_outer_match(lambda mask: False, 8) is None
     assert _level_sizes(searches[0]) == _level_sizes(searches[1])
+
+
+def test_grades_above_n_add_nothing_to_the_search():
+    # at d >= n every profile is its own class, and a modality of grade above
+    # n is constant, so searches at d = n, n + 1 and n + 3 store the same
+    # signatures with the same formulas, level by level; the class search
+    # is built at min(d, n)
+    grid = [(V1, n, 2 * n + 3) for n in range(1, 6)] + [(V2, n, 8) for n in (1, 2)]
+    for vocab, n, max_size in grid:
+        profiles = list(enumerate_profiles(n, vocab))
+        searches = [FormulaSearch(vocab, d, profiles) for d in (n, n + 1, n + 3)]
+        for search in searches:
+            assert search.first_outer_match(lambda mask: False, max_size) is None
+        for search in searches[1:]:
+            assert search.inner_levels == searches[0].inner_levels, (n, search.d)
+            assert search.outer_levels == searches[0].outer_levels, (n, search.d)
+            assert search.inner_formulas == searches[0].inner_formulas
+            assert search.outer_formulas == searches[0].outer_formulas
+        assert complexity._search_for(vocab, n, n + 3, DEFAULT_CAPS).d == n
 
 
 def test_search_built_in_steps_matches_one_built_at_once():
@@ -420,10 +530,11 @@ def test_search_signatures_match_the_semantics():
     # time: one block per chunk at |tau|=3, and at |tau|=1, n=8 the nine
     # profiles fill two chunks of four and start a third
     grid += [(V3, 1, 1, 6), (V3, 2, 2, 5), (V1, 8, 4, 8)]
+    caps = SearchCaps(search_max_cells=1 << 16)  # |tau|=3, n=2 has 36,864 table cells
     for vocab, n, d, max_size in grid:
         profiles = list(enumerate_profiles(n, vocab))
         search = FormulaSearch(vocab, d, profiles)
-        search.first_outer_match(lambda mask: False, max_size)
+        search.first_outer_match(lambda mask: False, max_size, caps)
         assert search.max_built == max_size
         full = (1 << vocab.t) - 1
         # each signature is stored once, in the level that first reached it

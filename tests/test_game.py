@@ -310,8 +310,8 @@ def test_equivalence_check_compares_the_least_sizes(monkeypatch):
     so the check at the larger budget must already fail."""
     search = game.minimal_separating_size
 
-    def one_too_large(vocab, d, n, left, right, max_size):
-        found = search(vocab, d, n, left, right, max_size)
+    def one_too_large(vocab, d, n, left, right, max_size, caps):
+        found = search(vocab, d, n, left, right, max_size, caps)
         if found is not None and found[0] < max_size:
             return found[0] + 1, found[1]
         return found

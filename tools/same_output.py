@@ -28,25 +28,27 @@ stderrs are compared:
   --format json`` under ``GMLU_GAME_MAX_SYMBOLS=2``;
 - exact search beyond the benchmark's n=12: ``complexity --tau p --n 14
   --d 7 --exact`` and ``verify monotone --tau p --n 14 --d 7 --mode
-  exact`` under ``GMLU_EXACT_MAX_N=14 GMLU_EXACT_MAX_D=7``, the same two
-  at n=16, d=8 under ``GMLU_EXACT_MAX_N=16 GMLU_EXACT_MAX_D=8`` (where
-  the canonical level, which the search leaves to evaluation, is the
-  costliest), the same two at n=40, d=6 under ``GMLU_EXACT_MAX_N=40
-  GMLU_EXACT_MAX_D=6`` (past n = t*d, where the classes and their
-  complexities no longer change with n), ``complexity --tau p,q --n 2
-  --d 2 --exact`` and
-  ``complexity --tau p,q --n 3 --d 1 --exact`` (whose hardest class is
-  found below its canonical size) under ``GMLU_EXACT_MAX_SYMBOLS=2``, and
-  ``complexity --tau p,q,r --n 1 --d 1 --exact`` under
-  ``GMLU_EXACT_MAX_SYMBOLS=3``;
+  exact``, the same two at n=16, d=8 (where the canonical level, which
+  the search leaves to evaluation, is the costliest), the same two at
+  n=40, d=6 (past n = t*d, where the classes and their complexities no
+  longer change with n), ``complexity --tau p,q --n 2 --d 2 --exact``
+  and ``complexity --tau p,q --n 3 --d 1 --exact`` (whose hardest class
+  is found below its canonical size), and ``complexity --tau p,q,r --n
+  1 --d 1 --exact``;
 - exact search where classes are far fewer than profiles (the search
   keeps one profile per class): ``verify monotone --tau p --n 64 --d 6
-  --mode exact`` under ``GMLU_EXACT_MAX_N=64 GMLU_EXACT_MAX_D=6`` and
-  ``verify monotone --tau p --n 32 --d 9 --mode exact`` under
-  ``GMLU_EXACT_MAX_N=32 GMLU_EXACT_MAX_D=9``.  The exact search has no
-  n cap any more, so the change ignores ``GMLU_EXACT_MAX_N``; it stays
-  in these environments because a base revision from before the n cap
-  was dropped still reads it;
+  --mode exact`` and ``verify monotone --tau p --n 32 --d 9 --mode
+  exact``.  These run under the environment that lets a base revision
+  from before the cells cap run them (``GMLU_EXACT_MAX_N``,
+  ``GMLU_EXACT_MAX_D``, ``GMLU_EXACT_MAX_SYMBOLS``), and under
+  ``GMLU_SEARCH_MAX_CELLS`` where they store more than its default 2^15
+  cells (d=8, d=9, and |tau|=2 at n=3); each side ignores the
+  variables it does not read;
+- exact search at the default caps: ``complexity --tau p,q --n 2 --d 1
+  --exact``, ``complexity --tau p --n 3 --d 1000000 --exact`` (built at
+  d = n), ``verify game-theorem --tau p --n 4 --d 1000 --max-r 5
+  --max-side 1``, and ``complexity --tau p,q --n 4 --d 1 --exact``, which
+  the cells cap refuses;
 - the monotone connection in bounds mode at |tau|=2 over 288,288
   comparable pairs, ``verify monotone --tau p,q --n 48 --d 12``;
 - each row report in all three formats at small scale: ``tuples``,
@@ -163,8 +165,16 @@ GRIDS: list[Command] = [
       "--right", "0,0,0,2@3", "--right", "1,0,1,0@0", "--format", "json")),
 ]
 
+def _exact_env(n: int, d: int) -> tuple[tuple[str, str], ...]:
+    """The old n and d caps for a base revision that reads them, and the
+    cells cap where d stores more than its default."""
+    cells = {8: (("GMLU_SEARCH_MAX_CELLS", str(1 << 16)),),
+             9: (("GMLU_SEARCH_MAX_CELLS", str(1 << 17)),)}
+    return (("GMLU_EXACT_MAX_N", str(n)), ("GMLU_EXACT_MAX_D", str(d)), *cells.get(d, ()))
+
+
 EXACT: list[Command] = [
-    ((("GMLU_EXACT_MAX_N", str(n)), ("GMLU_EXACT_MAX_D", str(d))), argv)
+    (_exact_env(n, d), argv)
     for n, d in ((14, 7), (16, 8), (40, 6))
     for argv in (("complexity", "--tau", "p", "--n", str(n), "--d", str(d), "--exact"),
                  ("verify", "monotone", "--tau", "p", "--n", str(n), "--d", str(d),
@@ -173,17 +183,23 @@ EXACT: list[Command] = [
 EXACT += [
     ((("GMLU_EXACT_MAX_SYMBOLS", "2"),),
      ("complexity", "--tau", "p,q", "--n", "2", "--d", "2", "--exact")),
-    ((("GMLU_EXACT_MAX_SYMBOLS", "2"),),
+    ((("GMLU_EXACT_MAX_SYMBOLS", "2"), ("GMLU_SEARCH_MAX_CELLS", str(1 << 17))),
      ("complexity", "--tau", "p,q", "--n", "3", "--d", "1", "--exact")),
     ((("GMLU_EXACT_MAX_SYMBOLS", "3"),),
      ("complexity", "--tau", "p,q,r", "--n", "1", "--d", "1", "--exact")),
 ]
 EXACT += [
-    ((("GMLU_EXACT_MAX_N", str(n)), ("GMLU_EXACT_MAX_D", str(d))),
-     ("verify", "monotone", "--tau", "p", "--n", str(n), "--d", str(d),
-      "--mode", "exact"))
+    (_exact_env(n, d), ("verify", "monotone", "--tau", "p", "--n", str(n), "--d", str(d),
+                        "--mode", "exact"))
     for n, d in ((64, 6), (32, 9))
 ]
+EXACT += [((), argv) for argv in (
+    ("complexity", "--tau", "p,q", "--n", "2", "--d", "1", "--exact"),
+    ("complexity", "--tau", "p", "--n", "3", "--d", "1000000", "--exact"),
+    ("verify", "game-theorem", "--tau", "p", "--n", "4", "--d", "1000", "--max-r", "5",
+     "--max-side", "1"),
+    ("complexity", "--tau", "p,q", "--n", "4", "--d", "1", "--exact"),
+)]
 
 MONOTONE: list[Command] = [
     ((), ("verify", "monotone", "--tau", "p,q", "--n", "48", "--d", "12")),
