@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 import operator
+from typing import TYPE_CHECKING
 
 from .combinatorics import stirling_r_assoc
 from .config import SearchCaps, check_cap
-from .models import ModelProfile
 from .vocab import Vocabulary
+
+if TYPE_CHECKING:
+    from .models import ModelProfile
 
 
 class SlotRecord:

@@ -11,7 +11,6 @@ cannot be written.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import operator
 import os
@@ -21,11 +20,18 @@ from itertools import combinations
 from json import JSONEncoder
 from json.encoder import encode_basestring_ascii as _json_str
 
-from . import classes, combinatorics, complexity, distribution, game
+from . import _lazy
 from .config import caps_from_env
-from .formulas import counting_depth
-from .models import ModelProfile, PointedProfile, pointed_profiles
 from .vocab import Vocabulary
+
+# bound lazily: a command executes only the modules it reads
+classes = _lazy("classes")
+combinatorics = _lazy("combinatorics")
+complexity = _lazy("complexity")
+distribution = _lazy("distribution")
+formulas = _lazy("formulas")
+game = _lazy("game")
+models = _lazy("models")
 
 
 def _fnum(x: float) -> float:
@@ -62,12 +68,12 @@ def _parse_tuple(text: str, vocab: Vocabulary, n: int, d: int) -> classes.Admiss
         raise SystemExit(_usage_error(str(exc)))
 
 
-def _parse_pointed(text: str, vocab: Vocabulary) -> PointedProfile:
+def _parse_pointed(text: str, vocab: Vocabulary) -> models.PointedProfile:
     try:
         counts_text, point_text = text.split("@")
         counts = tuple(int(x) for x in counts_text.split(","))
         point = int(point_text)
-        pm = PointedProfile(ModelProfile(counts), point)
+        pm = models.PointedProfile(models.ModelProfile(counts), point)
     except (ValueError, IndexError) as exc:
         raise SystemExit(
             _usage_error(f"bad pointed model {text!r} ({exc}); expected like 2,0@0")
@@ -231,6 +237,8 @@ class _Report:
                 payload["rows"] = self.rows
             _write_json(payload, out.write)
         elif fmt == "csv":
+            import csv
+
             writer = csv.writer(out, lineterminator="\n")
             if self.columns:
                 writer.writerow(self.columns)
@@ -374,7 +382,7 @@ def _complexity_row(tup, vocab, want_exact, max_size, caps) -> dict:
         "closed_form": ub.closed_form,
         "closed_form_matches": ub.matches,
         "bound_variant": ub.variant,
-        "depth": (depth := counting_depth(ub.formula)),
+        "depth": (depth := formulas.counting_depth(ub.formula)),
         "depth_shallow": depth,
         "exact": "",
     }
@@ -592,7 +600,7 @@ def _verify_monotone(args, vocab, caps) -> _Report:
 
 
 def _verify_game_theorem(args, vocab, caps) -> _Report:
-    pms = pointed_profiles(args.n, vocab)
+    pms = models.pointed_profiles(args.n, vocab)
     sides = [frozenset()]
     for k in range(1, args.max_side + 1):
         sides.extend(frozenset(c) for c in combinations(pms, k))

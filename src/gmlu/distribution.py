@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Callable, Iterable, NamedTuple
 
+from . import _lazy
 from .classes import (
     AdmissibleTuple,
     FactorialMemo,
@@ -31,9 +32,10 @@ from .classes import (
     enumerate_admissible,
     enumerate_orbits,
 )
-from .complexity import exact_complexity, lower_bound, upper_bound
 from .config import DEFAULT_CAPS, SearchCaps
 from .vocab import Vocabulary
+
+complexity = _lazy("complexity")  # only the monotone check reads complexities
 
 
 class ClassEntry(SlotRecord):
@@ -416,10 +418,11 @@ def verify_monotone_connection(
     factorials = FactorialMemo()
     sizes = [class_size(tup, factorials) for tup in tuples]
     if mode == "exact":
-        his = los = [exact_complexity(tup, vocab, caps=caps) for tup in tuples]
+        his = los = [complexity.exact_complexity(tup, vocab, caps=caps)
+                     for tup in tuples]
     else:
-        los = [lower_bound(tup) for tup in tuples]
-        his = [upper_bound(tup, vocab).value for tup in tuples]
+        los = [complexity.lower_bound(tup) for tup in tuples]
+        his = [complexity.upper_bound(tup, vocab).value for tup in tuples]
     # bucket by entry sum so only pairs with a large enough gap are walked
     by_sum: dict[int, list[int]] = {}
     for i, tup in enumerate(tuples):

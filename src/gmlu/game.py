@@ -22,11 +22,13 @@ import functools
 from itertools import combinations
 from typing import NamedTuple
 
-from .complexity import minimal_separating_size
+from . import _lazy
 from .config import DEFAULT_CAPS, SearchCaps, check_cap
 from .formulas import DiamondEq, DiamondGeq, Formula, Lit, format_formula
 from .models import PointedProfile, bounded_compositions, pointed_profiles
 from .vocab import Vocabulary
+
+complexity = _lazy("complexity")  # only the equivalence check searches
 
 S_WINS = "S"
 D_WINS = "D"
@@ -645,7 +647,7 @@ def check_game_formula_equivalence(
     if pos.n is None:
         found = (1, _trivial_truth(vocab)) if resource >= 1 else None
     else:
-        found = minimal_separating_size(
+        found = complexity.minimal_separating_size(
             vocab, d, pos.n, [pm.profile for pm in pos.left],
             [pm.profile for pm in pos.right], resource, caps,
         )

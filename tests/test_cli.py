@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gmlu import distribution, game
+from gmlu import complexity, distribution, game
 from gmlu.cli import _Report, _class_rows, _json_text, _write_json, main
 from gmlu.config import SearchCaps
 from gmlu.vocab import Vocabulary
@@ -406,13 +406,13 @@ def test_verify_game_theorem(capsys):
 
 def test_game_theorem_searches_once_per_position(capsys, monkeypatch):
     searches = []
-    search = game.minimal_separating_size
+    search = complexity.minimal_separating_size
 
     def counted(*args):
         searches.append(args)
         return search(*args)
 
-    monkeypatch.setattr(game, "minimal_separating_size", counted)
+    monkeypatch.setattr(complexity, "minimal_separating_size", counted)
     payload = run_json(
         capsys, "verify", "game-theorem", "--tau", "p", "--n", "2", "--d", "1",
         "--max-r", "4", "--max-side", "1",

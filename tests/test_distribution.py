@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmlu import distribution
+from gmlu import complexity, distribution
 from gmlu.classes import AdmissibleTuple, class_size, enumerate_admissible
 from gmlu.complexity import upper_bound
 from gmlu.distribution import (
@@ -410,7 +410,7 @@ def test_monotone_bounds_mode_matches_a_plain_pair_walk(monkeypatch, n, d):
     def fake_lower(tup):
         return sum(tup.entries) - 13
 
-    monkeypatch.setattr(distribution, "lower_bound", fake_lower)
+    monkeypatch.setattr(complexity, "lower_bound", fake_lower)
     rep = verify_monotone_connection(n, d, V1, mode="bounds")
     tuples = enumerate_admissible(n, d, V1)
     pairs = [
@@ -438,7 +438,7 @@ def test_monotone_exact_mode_fails_pairs_of_equal_complexity(monkeypatch):
     """Exact mode asks for a strictly smaller complexity on the smaller
     side of a pair: with every class made equally complex, each comparable
     pair (whose sizes differ) fails.  No search runs."""
-    monkeypatch.setattr(distribution, "exact_complexity", lambda *a, **k: 7)
+    monkeypatch.setattr(complexity, "exact_complexity", lambda *a, **k: 7)
     rep = verify_monotone_connection(26, 6, V1, mode="exact")
     assert rep.pair_count == 2
     assert len(rep.failures) == 2

@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from gmlu import game
+from gmlu import complexity, game
 from gmlu.complexity import minimal_separating_size
 from gmlu.config import ScaleCapError
 from gmlu.game import (
@@ -308,7 +308,7 @@ def test_equivalence_check_compares_the_least_sizes(monkeypatch):
     """A formula search that finds a separating formula within the budget,
     but not the least one, disagrees with the game at a smaller budget,
     so the check at the larger budget must already fail."""
-    search = game.minimal_separating_size
+    search = complexity.minimal_separating_size
 
     def one_too_large(vocab, d, n, left, right, max_size, caps):
         found = search(vocab, d, n, left, right, max_size, caps)
@@ -316,7 +316,7 @@ def test_equivalence_check_compares_the_least_sizes(monkeypatch):
             return found[0] + 1, found[1]
         return found
 
-    monkeypatch.setattr(game, "minimal_separating_size", one_too_large)
+    monkeypatch.setattr(complexity, "minimal_separating_size", one_too_large)
     chk = check_game_formula_equivalence(4, {ALL_P}, {MIXED_P}, 1, V1)
     assert chk.winner == S_WINS and chk.separating_size == 3
     assert not chk.agree
