@@ -17,8 +17,6 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import combinations
-from json import JSONEncoder
-from json.encoder import encode_basestring_ascii as _json_str
 
 from . import _lazy
 from .config import caps_from_env
@@ -140,7 +138,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_usage_error(message))
 
 
-_json_other = JSONEncoder().encode
+def _bind_json() -> None:
+    """Bind ``_json_str`` and ``_json_other`` to json's encoders.  Until
+    then each is a stand-in that binds them and calls the real one, so
+    json is imported by the first report that prints JSON, not by every
+    command."""
+    global _json_str, _json_other
+    from json import JSONEncoder
+    from json.encoder import encode_basestring_ascii as _json_str
+
+    _json_other = JSONEncoder().encode
+
+
+def _json_str(text: str) -> str:
+    _bind_json()
+    return _json_str(text)
+
+
+def _json_other(value) -> str:
+    _bind_json()
+    return _json_other(value)
 
 
 def _json_text(value, depth: int = 0) -> str:
@@ -629,102 +646,147 @@ def _verify_game_theorem(args, vocab, caps) -> _Report:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+_TUPLE = {"--tuple": {"help": "restrict to one tuple, like 0,1"}}
+_MAX_N = {"type": _at_least(1, "--max-n"), "default": 12}
+_MAX_R = {"type": _at_least(1, "--max-r"), "default": 4}
+
+# The command tree.  A leaf runs ``func``; each of ``tau``, ``n`` and ``d``
+# is True (a required option), a default, or False (no such option), and
+# ``options`` maps each other argument to its ``add_argument`` keywords.
+# A group (``phase``, ``verify``) holds leaves under the dest it names.
+_COMMANDS = {
+    "tuples": dict(func=_cmd_tuples, help="enumerate the admissible tuples"),
+    "class-size": dict(func=_cmd_class_size, options=_TUPLE,
+                       help="exact class sizes and probabilities"),
+    "entropy": dict(func=_cmd_entropy, help="Shannon and Boltzmann entropy at one depth"),
+    "entropy-sweep": dict(func=_cmd_entropy_sweep, d=False,
+                          help="entropies for every depth 1..n"),
+    "complexity": dict(func=_cmd_complexity, help="description-complexity bounds", options={
+        **_TUPLE,
+        "--exact": {"action": "store_true", "help": "run the brute-force search"},
+        "--max-size": {"type": _at_least(1, "--max-size"), "default": None},
+    }),
+    "cover": dict(func=_cmd_cover, help="cover graph and minimum cover cost",
+                  options={"--tuple": {"required": True}}),
+    "game": dict(
+        func=_cmd_game, n=False, help="solve or trace the formula-size game", options={
+            "action": {"choices": ("solve", "trace")},
+            "--r": {"type": _at_least(0, "--r"), "required": True,
+                    "help": "resource budget"},
+            "--left": {"action": "append", "help": "pointed model the formula must "
+                       "satisfy, like 2,0@0 (repeatable)"},
+            "--right": {"action": "append",
+                        "help": "pointed model the formula must refute (repeatable)"},
+        },
+    ),
+    "phase": dict(
+        dest="action", help="majority/dominance analysis of the distribution", leaves={
+            "constants": dict(func=_phase_constants, n=False, d=False),
+            "majority": dict(func=_phase_majority),
+            "sweep": dict(func=_phase_sweep, n=False, d=False, options={
+                "--rule": {"choices": ("below-sqrt", "below-quarter", "above-sqrt"),
+                           "required": True},
+                "--a": {"type": _finite("--a"), "default": 1.0},
+                "--n-values": {"type": _at_least(1, "--n-values", many=True),
+                               "required": True, "help": "comma-separated domain sizes"},
+            }),
+            "separation": dict(func=_phase_separation, options={
+                "--trials": {"type": _at_least(1, "--trials"), "default": 10000},
+                "--seed": {"type": int, "default": 0},
+                "--exact": {"action": "store_true",
+                            "help": "also compute the exact separation probability"},
+            }),
+        },
+    ),
+    "verify": dict(
+        dest="check", help="re-run the verified identities", leaves={
+            "counting": dict(func=_verify_counting, tau="p", n=False, d=False,
+                             options={"--max-n": _MAX_N}),
+            "stirling": dict(func=_verify_stirling, tau=False, n=False, d=False, options={
+                "--max-n": _MAX_N,
+                "--max-m": {"type": _at_least(1, "--max-m"), "default": 4},
+                "--max-r": _MAX_R,
+            }),
+            "monotone": dict(func=_verify_monotone, tau="p", n=26, d=6, options={
+                "--mode": {"choices": ("bounds", "exact"), "default": "bounds"},
+            }),
+            "game-theorem": dict(func=_verify_game_theorem, tau="p", d=2, options={
+                "--max-r": _MAX_R,
+                "--max-side": {"type": _at_least(1, "--max-side"), "default": 1},
+            }),
+        },
+    ),
+}
+
+_CORE = (("--tau", _vocabulary, "comma-separated symbols"),
+         ("--n", _at_least(1, "--n"), "domain size"),
+         ("--d", _at_least(1, "--d"), "counting depth"))
+
+
+def _leaf_path(argv) -> tuple[str, ...]:
+    """The first one or two words of ``argv`` when they name a leaf of the
+    command tree exactly, else ()."""
+    commands = _COMMANDS
+    for i, word in enumerate(argv[:2]):
+        if (spec := commands.get(word)) is None:
+            break
+        if "func" in spec:
+            return tuple(argv[:i + 1])
+        commands = spec["leaves"]
+    return ()
+
+
+def _add_commands(parser, dest: str, commands: dict, path: tuple[str, ...]) -> None:
+    """Subparsers of ``parser`` for ``commands``: all of them, or only the
+    one that a nonempty ``path`` leads through."""
+    subparsers = parser.add_subparsers(dest=dest, required=True)
+    for name, spec in commands.items():
+        if path and name != path[0]:
+            continue
+        if "func" not in spec:
+            group = subparsers.add_parser(name, help=spec["help"])
+            _add_commands(group, spec["dest"], spec["leaves"], path[1:])
+        else:
+            _add_leaf(subparsers, name, **spec)
+
+
+def _add_leaf(subparsers, name, func, tau=True, n=True, d=True, options=None, **kw):
+    """A leaf parser that runs ``func``, with ``--format``, then those of
+    ``--tau``, ``--n`` and ``--d`` it has, then its ``options``.  Options
+    are spelled in full, so an option a leaf lacks is never read as a
+    longer one (``--n`` as ``--n-values``)."""
+    p = subparsers.add_parser(name, allow_abbrev=False, **kw)
+    p.set_defaults(func=func)
+    p.add_argument("--format", choices=("json", "csv", "text"), default="text",
+                   help="output format (default text)")
+    for (flag, kind, text), value in zip(_CORE, (tau, n, d)):
+        if value is not False:
+            p.add_argument(flag, type=kind, required=value is True,
+                           default=None if value is True else value, help=text)
+    for flag, keywords in (options or {}).items():
+        p.add_argument(flag, **keywords)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every command; given ``argv`` whose first one or two
+    words name a leaf exactly, the parser of that leaf alone, which parses
+    ``argv`` as the whole tree does.  Any other ``argv`` (help, an unknown
+    command, an option before the action) gets the whole tree."""
     parser = _Parser(
         prog="gmlu",
         description="Exact computations for graded universal modal logic "
         "over finite models.",
     )
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--format", choices=("json", "csv", "text"), default="text",
-        help="output format (default text)",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    core = (("--tau", _vocabulary, "comma-separated symbols"),
-            ("--n", _at_least(1, "--n"), "domain size"),
-            ("--d", _at_least(1, "--d"), "counting depth"))
-
-    def add(name, func, under=subparsers, tau=True, n=True, d=True, **kw):
-        """A leaf parser that runs ``func``, with ``--format`` and, of
-        ``--tau``, ``--n`` and ``--d``, each one given True (required) or a
-        default; False leaves it out.  Options are spelled in full, so an
-        option a leaf lacks is never read as a longer one (``--n`` as
-        ``--n-values``)."""
-        p = under.add_parser(name, parents=[shared], allow_abbrev=False, **kw)
-        p.set_defaults(func=func)
-        for (flag, kind, text), value in zip(core, (tau, n, d)):
-            if value is not False:
-                p.add_argument(flag, type=kind, required=value is True,
-                               default=None if value is True else value, help=text)
-        return p
-
-    add("tuples", _cmd_tuples, help="enumerate the admissible tuples")
-    p = add("class-size", _cmd_class_size, help="exact class sizes and probabilities")
-    p.add_argument("--tuple", help="restrict to one tuple, like 0,1")
-    add("entropy", _cmd_entropy, help="Shannon and Boltzmann entropy at one depth")
-    add("entropy-sweep", _cmd_entropy_sweep, d=False,
-        help="entropies for every depth 1..n")
-
-    p = add("complexity", _cmd_complexity, help="description-complexity bounds")
-    p.add_argument("--tuple", help="restrict to one tuple, like 0,1")
-    p.add_argument("--exact", action="store_true", help="run the brute-force search")
-    p.add_argument("--max-size", type=_at_least(1, "--max-size"), default=None)
-
-    p = add("cover", _cmd_cover, help="cover graph and minimum cover cost")
-    p.add_argument("--tuple", required=True)
-
-    p = add("game", _cmd_game, n=False, help="solve or trace the formula-size game")
-    p.add_argument("action", choices=("solve", "trace"))
-    p.add_argument("--r", type=_at_least(0, "--r"), required=True,
-                   help="resource budget")
-    p.add_argument(
-        "--left", action="append",
-        help="pointed model the formula must satisfy, like 2,0@0 (repeatable)",
-    )
-    p.add_argument(
-        "--right", action="append",
-        help="pointed model the formula must refute (repeatable)",
-    )
-
-    phase = subparsers.add_parser(
-        "phase", help="majority/dominance analysis of the distribution"
-    ).add_subparsers(dest="action", required=True)
-    add("constants", _phase_constants, phase, n=False, d=False)
-    add("majority", _phase_majority, phase)
-    p = add("sweep", _phase_sweep, phase, n=False, d=False)
-    p.add_argument("--rule", choices=("below-sqrt", "below-quarter", "above-sqrt"),
-                   required=True)
-    p.add_argument("--a", type=_finite("--a"), default=1.0)
-    p.add_argument("--n-values", type=_at_least(1, "--n-values", many=True),
-                   required=True, help="comma-separated domain sizes")
-    p = add("separation", _phase_separation, phase)
-    p.add_argument("--trials", type=_at_least(1, "--trials"), default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--exact", action="store_true",
-                   help="also compute the exact separation probability")
-
-    verify = subparsers.add_parser(
-        "verify", help="re-run the verified identities"
-    ).add_subparsers(dest="check", required=True)
-    max_n, max_r = _at_least(1, "--max-n"), _at_least(1, "--max-r")
-    p = add("counting", _verify_counting, verify, tau="p", n=False, d=False)
-    p.add_argument("--max-n", type=max_n, default=12)
-    p = add("stirling", _verify_stirling, verify, tau=False, n=False, d=False)
-    p.add_argument("--max-n", type=max_n, default=12)
-    p.add_argument("--max-m", type=_at_least(1, "--max-m"), default=4)
-    p.add_argument("--max-r", type=max_r, default=4)
-    p = add("monotone", _verify_monotone, verify, tau="p", n=26, d=6)
-    p.add_argument("--mode", choices=("bounds", "exact"), default="bounds")
-    p = add("game-theorem", _verify_game_theorem, verify, tau="p", d=2)
-    p.add_argument("--max-r", type=max_r, default=4)
-    p.add_argument("--max-side", type=_at_least(1, "--max-side"), default=1)
-
+    _add_commands(parser, "command", _COMMANDS, _leaf_path(argv or ()))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact digits, however many
+    args = build_parser(argv).parse_args(argv)
     try:
         caps = caps_from_env()
     except ValueError as exc:
@@ -744,6 +806,9 @@ def main(argv=None) -> int:
             sys.stdout.reconfigure(write_through=False)
         report.emit(args.format, sys.stdout)
         sys.stdout.flush()
+    except ValueError as exc:  # a row that cannot be formatted
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         # stdout is full or its reader has gone: send what is still buffered
         # to os.devnull, so the flush at exit cannot fail a second time

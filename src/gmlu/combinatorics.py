@@ -5,8 +5,10 @@ exact Stirling bounds that ``verify stirling`` checks.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _stirling_cache: dict[tuple[int, int, int], int] = {}
 
@@ -76,6 +78,8 @@ class StirlingBoundsCheck(NamedTuple):
 
 def check_stirling_bounds(n: int, m: int, r: int) -> StirlingBoundsCheck:
     """Verify m^n / m^(mr) <= S(n, m)_{>=r} <= m^n / m! with exact rationals."""
+    from fractions import Fraction
+
     if m < 1 or n < m * r:
         raise ValueError(f"need m >= 1 and n >= m*r, got {(n, m, r)}")
     bounds = BoundPair(
@@ -93,6 +97,8 @@ class GrowthBoundCheck(NamedTuple):
 
 def check_growth_bound(n: int, m: int, r: int) -> GrowthBoundCheck:
     """Verify S(n, m)_{>=r} <= (m^(mr+1) / m!) * S(n-1, m)_{>=r} exactly."""
+    from fractions import Fraction
+
     if m < 1 or n < m * r + 1:
         raise ValueError(f"need m >= 1 and n >= m*r + 1, got {(n, m, r)}")
     value = stirling_r_assoc(n, m, r)

@@ -272,9 +272,8 @@ class FormulaSearch:
             self.inner_levels[-1].append(sig)
 
     def _add_outer(self, mask: int, formula) -> None:
-        # a known mask already put its spread signature in the inner store
-        if mask in self.outer_formulas:
-            return
+        """Store a new mask (callers test that it is not stored yet) and
+        its spread signature."""
         self.outer_formulas[mask] = formula
         self.outer_levels[-1].append(mask)
         sig = sum(
@@ -316,7 +315,8 @@ class FormulaSearch:
                     self._add_inner(mask * self._every_block, Lit(sym, pos))
             anchor = Lit(self.vocab.symbols[0], True)
             self._add_outer(self._all_profiles_mask, DiamondGeq(0, anchor))
-            self._add_outer(0, BoxLt(0, anchor))
+            if 0 not in outer:  # with no profiles, both constants have mask 0
+                self._add_outer(0, BoxLt(0, anchor))
         # boolean combinations of smaller sentences
         for s1 in range(1, s - 1):
             s2 = s - 1 - s1

@@ -18,9 +18,8 @@ import math
 import random
 from collections import Counter
 from functools import cached_property
-from fractions import Fraction
 from itertools import chain, repeat
-from typing import Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from . import _lazy
 from .classes import (
@@ -34,6 +33,9 @@ from .classes import (
 )
 from .config import DEFAULT_CAPS, SearchCaps
 from .vocab import Vocabulary
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 complexity = _lazy("complexity")  # only the monotone check reads complexities
 
@@ -53,6 +55,8 @@ class ClassEntry(SlotRecord):
 
     @property
     def probability(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.size, self.tup.t**self.tup.n)
 
 
@@ -231,6 +235,8 @@ def majority_report(n: int, d: int, vocab: Vocabulary) -> MajorityReport:
     the true maximum class is reported either way, and majority means
     exact probability above one half.
     """
+    from fractions import Fraction
+
     candidate, candidate_size, max_tuple, max_size = _candidate_and_max(n, d, vocab)
     t = vocab.t
     denom = t**n
@@ -321,6 +327,8 @@ def estimate_separation_probability(
 def exact_separation_probability(n: int, d: int, vocab: Vocabulary) -> Fraction:
     """Exact probability that two independent uniform models differ as
     classes: one minus the collision probability."""
+    from fractions import Fraction
+
     collisions = sum(w * size**2 for _, w, size in _orbit_table(n, d, vocab))
     return 1 - Fraction(collisions, vocab.t ** (2 * n))
 

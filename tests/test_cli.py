@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gmlu import complexity, distribution, game
-from gmlu.cli import _Report, _class_rows, _json_text, _write_json, main
+from gmlu.cli import _Report, _class_rows, _json_text, _write_json, build_parser, main
 from gmlu.config import SearchCaps
 from gmlu.vocab import Vocabulary
 
@@ -593,7 +593,7 @@ def test_scale_cap_error_names_its_override(capsys, monkeypatch, variable, env, 
     assert f"set {variable} to raise it" in captured.err
 
 
-@pytest.mark.parametrize("argv", [
+_BELOW_ONE = [
     ["tuples", "--tau", "p", "--n", "-1", "--d", "1"],
     ["entropy", "--tau", "p", "--n", "0", "--d", "1"],
     ["class-size", "--tau", "p,q", "--n", "0", "--d", "1"],
@@ -601,7 +601,10 @@ def test_scale_cap_error_names_its_override(capsys, monkeypatch, variable, env, 
     ["phase", "majority", "--tau", "p", "--n", "0", "--d", "1"],
     ["phase", "sweep", "--tau", "p", "--rule", "below-sqrt", "--n-values", "16,0"],
     ["verify", "counting", "--tau", "p", "--max-n", "0"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", _BELOW_ONE)
 def test_domain_size_below_one_exit_code_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -630,7 +633,7 @@ def _assert_usage_error(capsys, argv) -> str:
     return captured.err
 
 
-@pytest.mark.parametrize("argv", [
+_BAD_TAU = [
     ["tuples", "--tau", "p,p", "--n", "3", "--d", "1"],
     ["game", "solve", "--tau", "p,p", "--d", "1", "--r", "2",
      "--left", "2,0@0", "--right", "1,1@0"],
@@ -638,7 +641,10 @@ def _assert_usage_error(capsys, argv) -> str:
     ["verify", "counting", "--tau", "p,p", "--max-n", "2"],
     ["tuples", "--tau=", "--n", "3", "--d", "1"],
     ["tuples", "--tau", "1p", "--n", "3", "--d", "1"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_TAU)
 def test_bad_tau_exit_code_2(capsys, argv):
     assert "bad --tau" in _assert_usage_error(capsys, argv)
 
@@ -685,7 +691,7 @@ def test_negative_cap_override_exit_code_2(capsys, monkeypatch):
     assert err == "error: environment override GMLU_GAME_MAX_N='-1' is not an integer >= 0\n"
 
 
-@pytest.mark.parametrize("argv, flag", [
+_BELOW_BOUND = [
     (["tuples", "--tau", "p", "--n", "3", "--d", "0"], "--d"),
     (["game", "solve", "--tau", "p", "--d", "0", "--r", "2",
       "--left", "2,0@0", "--right", "1,1@0"], "--d"),
@@ -702,7 +708,10 @@ def test_negative_cap_override_exit_code_2(capsys, monkeypatch):
       "--max-r", "0"], "--max-r"),
     (["verify", "stirling", "--max-m", "0"], "--max-m"),
     (["verify", "stirling", "--max-r", "0"], "--max-r"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, flag", _BELOW_BOUND)
 def test_option_below_its_bound_exit_code_2(capsys, argv, flag):
     assert flag in _assert_usage_error(capsys, argv)
 
@@ -727,7 +736,7 @@ def test_depth_rule_overflow_is_one_error_line(capsys):
     assert "below-sqrt" in captured.err and "a=1e+308" in captured.err
 
 
-@pytest.mark.parametrize("argv, names", [
+_ARGPARSE_ERRORS = [
     (["phase", "majority", "--tau", "p", "--n", "4"], "--d"),
     (["tuples", "--tau", "p", "--n", "4"], "--d"),
     (["bogus"], "bogus"),
@@ -735,22 +744,129 @@ def test_depth_rule_overflow_is_one_error_line(capsys):
     (["verify", "game-theorem"], "--n"),
     (["phase", "sweep", "--tau", "p", "--rule", "below-sqrt"], "--n-values"),
     (["phase", "--format", "json", "constants", "--tau", "p"], "action"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, names", _ARGPARSE_ERRORS)
 def test_argparse_usage_error_is_one_line(capsys, argv, names):
     assert names in _assert_usage_error(capsys, argv)
 
 
 # Each phase and verify action accepts only the options it reads.
-@pytest.mark.parametrize("argv, flag", [
+_UNREAD = [
     (["phase", "constants", "--tau", "p", "--n", "4"], "--n"),
     (["phase", "sweep", "--tau", "p", "--rule", "below-sqrt", "--n-values", "16",
       "--n", "64"], "--n"),
     (["verify", "stirling", "--tau", "p"], "--tau"),
     (["verify", "counting", "--mode", "exact"], "--mode"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, flag", _UNREAD)
 def test_option_the_action_does_not_read_exit_code_2(capsys, argv, flag):
     err = _assert_usage_error(capsys, argv)
     assert f"unrecognized arguments: {flag}" in err
+
+
+def _parse_outcome(argv, parser_argv=None):
+    """The namespace (or the exit code), stdout and stderr of parsing
+    ``argv`` with ``build_parser(parser_argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(build_parser(parser_argv).parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+_HELP = [["--help"], ["-h", "entropy"], ["entropy", "-h"], ["phase", "-h"],
+         ["phase", "majority", "-h"], ["game", "solve", "-h"], ["verify", "monotone", "-h"]]
+_USAGE_ARGVS = [*_BELOW_ONE, *_BAD_TAU, *[argv for argv, _ in _BELOW_BOUND],
+                *[argv for argv, _ in _ARGPARSE_ERRORS], *[argv for argv, _ in _UNREAD],
+                *_HELP, ["phase", "bogus"], ["verify"]]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ARGVS, ids=" ".join)
+def test_one_leaf_parser_parses_as_the_whole_tree(argv):
+    assert _parse_outcome(argv, argv) == _parse_outcome(argv)
+
+
+def _choices(parser) -> dict:
+    """The command tree under ``parser``, as nested dicts of names."""
+    for action in parser._actions:
+        if action.choices and hasattr(action, "add_parser"):
+            return {name: _choices(sub) for name, sub in action.choices.items()}
+    return {}
+
+
+@pytest.mark.parametrize("argv, tree", [
+    (["entropy", "--tau", "p"], {"entropy": {}}),
+    (["phase", "majority", "-h"], {"phase": {"majority": {}}}),
+    (["verify", "game-theorem"], {"verify": {"game-theorem": {}}}),
+])
+def test_an_argv_that_names_a_leaf_builds_that_leaf_alone(argv, tree):
+    assert _choices(build_parser(argv)) == tree
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus"], ["phase"], ["phase", "bogus"],
+    ["phase", "--format", "json", "constants"], ["game-theorem"],
+], ids=repr)
+def test_any_other_argv_builds_the_whole_tree(argv):
+    assert _choices(build_parser(argv)) == _choices(build_parser())
+
+
+def test_class_sizes_past_the_int_digit_limit_print_in_full():
+    n = 15000  # 2^n has 4,516 digits, past CPython's default limit of 4,300
+    with _gmlu(["class-size", "--tau", "p", "--n", str(n), "--d", "1", "--format",
+                "json"], stdout=subprocess.PIPE) as proc:
+        out, err = proc.communicate()
+    assert (proc.returncode, err) == (0, "")
+    sizes = {row["tuple"]: row["size"] for row in json.loads(out)["rows"]}
+    # int <-> str past the limit needs it lifted here too
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert {k: int(v) for k, v in sizes.items()} == {
+            "0|1": 1, "1|0": 1, "1|1": 2**n - 2,
+        }
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_a_row_that_cannot_be_formatted_is_one_error_line(capsys, monkeypatch, fmt):
+    def refuse(x):
+        raise ValueError("cannot format this row")
+
+    monkeypatch.setattr("gmlu.cli._ftext", refuse)
+    code = main(["class-size", "--tau", "p", "--n", "3", "--d", "1", "--format", fmt])
+    assert (code, capsys.readouterr().err) == (1, "error: cannot format this row\n")
+
+
+def test_game_trace_prints_split_and_exact_moves(capsys):
+    # S splits the left side, then plays an exact move whose other side
+    # picks its points as a "P" or an "N" set
+    payload = run_json(
+        capsys, "game", "trace", "--tau", "p", "--d", "2", "--r", "6",
+        "--left", "1,2@0", "--left", "3,0@0", "--right", "0,3@1", "--right", "2,1@0",
+    )
+    trace = payload["trace"]
+    assert trace["move"] == {
+        "kind": "or-split", "r1": 3, "r2": 2,
+        "part1": [{"counts": [1, 2], "point_type": 0}],
+        "part2": [{"counts": [3, 0], "point_type": 0}],
+    }
+    assert trace["children"][0]["move"] == {
+        "kind": "<>==", "grade": 1,
+        "left_selections": [{"model": {"counts": [1, 2], "point_type": 0},
+                             "pick": [1, 0]}],
+        "right_selections": [
+            {"model": {"counts": [0, 3], "point_type": 1}, "set": "N", "pick": [0, 3]},
+            {"model": {"counts": [2, 1], "point_type": 0}, "set": "P", "pick": [2, 0]},
+        ],
+    }
 
 
 def test_game_trace_at_zero_budget_is_a_duplicator_win(capsys):
@@ -840,6 +956,12 @@ def _run_captured(argv) -> tuple[int, str]:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argv())
+def test_one_leaf_parser_parses_generated_argv_as_the_whole_tree(argv):
+    assert _parse_outcome(argv, argv) == _parse_outcome(argv)
 
 
 @settings(max_examples=100, deadline=None)

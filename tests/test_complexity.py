@@ -319,6 +319,15 @@ def test_a_refused_search_resumes_as_a_fresh_search_would():
     assert refused.inner_formulas == fresh.inner_formulas
 
 
+def test_a_search_over_no_profiles_keeps_one_outer_entry_per_mask():
+    # with no profiles both size-1 constants have the empty mask; the first
+    # one seeded keeps it, and no level lists a mask twice
+    search = FormulaSearch(V1, 2, [])
+    assert search.first_outer_match(lambda mask: False, 4) is None
+    assert search.outer_levels == [[], [0], [], [], []]
+    assert search.outer_formulas == {0: DiamondGeq(0, Lit("p", True))}
+
+
 def test_tables_are_counted_before_the_profiles_are_listed():
     # the count taken before the profiles are listed is the entries of the
     # tables built from them: a cap one below refuses the search, and at

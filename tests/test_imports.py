@@ -49,13 +49,29 @@ print(json.dumps({
 """
 
 
-def _probe(code: str, *args: str) -> dict:
+# run under ``python -S`` (so that ``site`` imports nothing) with the
+# command as argv: which of the stdlib modules only some reports need are
+# then imported, space-separated
+BARE_PROBE = """
+import contextlib, io, sys
+import gmlu.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert gmlu.cli.main(sys.argv[1:]) == 0
+print(" ".join(m for m in ("json", "fractions", "decimal") if m in sys.modules))
+"""
+
+
+def _output(*args: str) -> str:
     env = {k: v for k, v in os.environ.items() if not k.startswith("GMLU_")}
     env["PYTHONPATH"] = str(ROOT / "src")
-    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _probe(code: str, *args: str) -> dict:
+    return json.loads(_output("-c", code, *args))
 
 
 def _run(argv) -> dict:
@@ -99,6 +115,23 @@ def test_a_command_executes_none_of_the_modules_it_does_not_use(argv, unused):
     executed = set(_run(argv)["executed"])
     assert "gmlu.cli" in executed
     assert executed.isdisjoint(f"gmlu.{name}" for name in unused)
+
+
+@pytest.mark.parametrize("argv", [
+    ["complexity", "--tau", "p", "--n", "3", "--d", "2", "--exact"],
+    ["verify", "monotone", "--tau", "p", "--n", "8", "--d", "2", "--mode", "exact"],
+    ["entropy-sweep", "--tau", "p,q", "--n", "6"],
+], ids=["complexity-exact", "monotone-exact", "entropy-sweep"])
+def test_a_text_report_imports_neither_json_nor_fractions(argv):
+    assert _output("-S", "-c", BARE_PROBE, *argv) == "\n"
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["entropy", "--tau", "p", "--n", "3", "--d", "1", "--format", "json"], "json"),
+    (["phase", "majority", "--tau", "p", "--n", "8", "--d", "1"], "fractions decimal"),
+], ids=["json-report", "majority"])
+def test_a_report_imports_json_or_fractions_where_it_prints_them(argv, modules):
+    assert _output("-S", "-c", BARE_PROBE, *argv) == modules + "\n"
 
 
 def test_importing_the_package_executes_no_submodule():

@@ -93,7 +93,12 @@ stderrs are compared:
   compared: tuples with an entry above d or that are not admissible,
   vocabularies with a duplicate or a bad symbol, a pointed model at an
   unrealized type or with no point, and a game position whose models
-  differ in size.
+  differ in size;
+- usage errors and help, which build the whole parser or one leaf of it:
+  ``--help``, ``-h entropy``, ``bogus``, ``phase``, ``phase bogus``,
+  ``verify``, ``entropy -h``, ``phase majority -h``, ``game solve -h``,
+  ``phase --format json constants --tau p``, ``entropy --tau p --n 3``
+  and ``entropy --tau p --n 3 --d 1 --bogus 1``.
 
 Two commands run at a time.  It prints each command whose output
 differs and exits 1 if any does.
@@ -283,6 +288,14 @@ REJECTED: list[Command] = [((), argv) for argv in (
 )]
 
 
+USAGE: list[Command] = [((), tuple(text.split())) for text in (
+    "--help", "-h entropy", "bogus", "phase", "phase bogus", "verify",
+    "entropy -h", "phase majority -h", "game solve -h",
+    "phase --format json constants --tau p", "entropy --tau p --n 3",
+    "entropy --tau p --n 3 --d 1 --bogus 1",
+)]
+
+
 def run_command(root: Path, command: Command) -> tuple[int, str, str]:
     env = {k: v for k, v in os.environ.items() if not k.startswith("GMLU_")}
     env["PYTHONPATH"] = str(root / "src")
@@ -303,7 +316,7 @@ def main(argv=None) -> int:
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     commands = list(dict.fromkeys(
         readme_commands() + workload_commands() + game_commands() + GRIDS + EXACT
-        + MONOTONE + ROWS + TIES + SAMPLING + ORBITS + DEFAULTS + REJECTED
+        + MONOTONE + ROWS + TIES + SAMPLING + ORBITS + DEFAULTS + REJECTED + USAGE
     ))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
