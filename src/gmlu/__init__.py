@@ -31,10 +31,7 @@ _HOMES = {
     "counting_depth": "formulas",
     "enumerate_admissible": "classes",
     "evaluate": "models",
-    "evaluate_pointed": "models",
     "format_formula": "formulas",
-    "negate": "formulas",
-    "parse_formula": "formulas",
     "size": "formulas",
     "tuple_of_profile": "classes",
 }

@@ -112,11 +112,6 @@ def evaluate(profile: ModelProfile, f: Formula, vocab: Vocabulary) -> bool:
     return all(i in sat for i in profile.realized_types())
 
 
-def evaluate_pointed(pm: PointedProfile, f: Formula, vocab: Vocabulary) -> bool:
-    """Truth at the distinguished point."""
-    return pm.point_type in sat_types(f, pm.profile, vocab)
-
-
 def bounded_compositions(
     bounds: tuple[int, ...], total: int
 ) -> Iterator[tuple[int, ...]]:

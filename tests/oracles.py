@@ -11,13 +11,16 @@ the exact description complexity as the formula search alone decides
 it, level by level up to the canonical size, over every size-n profile
 rather than the library's one profile per class.  ``min_cover_by_search``
 tries every subset of a class's realized types for the minimum cover
-that the library writes in closed form.
+that the library writes in closed form.  ``read_formula`` reads the
+text that ``format_formula`` prints, with its own table of tokens, and
+``negate`` is the formula's complement in negation normal form.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from collections import Counter
 from itertools import combinations, product
 
@@ -66,6 +69,68 @@ def eval_labeled_global(f, assignment, vocab: Vocabulary) -> bool:
     return all(
         eval_labeled(f, assignment, w, vocab) for w in range(len(assignment))
     )
+
+
+# written out here rather than read off the formula classes, so that a
+# round trip through the printer also checks the printer's tokens
+_MODALS = {"<>=": DiamondGeq, "[]<": BoxLt, "<>==": DiamondEq, "[]!=": BoxNeq}
+_CONNECTIVES = (("|", Or), ("&", And))  # the loosest binding first
+_TOKEN = re.compile(r"\s*(?:(<>==|<>=|\[\]<|\[\]!=)\s*(\d+)|([A-Za-z_]\w*)|(\S))")
+
+
+def read_formula(text: str):
+    """The formula whose printed text is ``text``: ``&`` binds tighter than
+    ``|``, both left-associative, and a modality binds tightest.  Raises
+    ``ValueError`` on text it cannot read whole."""
+    # (modal token, grade, symbol, character); "end" is no one character
+    tokens = [m.groups() for m in _TOKEN.finditer(text)] + [(None, None, None, "end")]
+    pos = 0
+
+    def take(expected=None):
+        nonlocal pos
+        token = tokens[pos]
+        if expected is not None and token[3] != expected:
+            raise ValueError(f"expected {expected!r} at token {pos} of {text!r}")
+        pos += 1
+        return token
+
+    def connective(level: int):
+        if level == len(_CONNECTIVES):
+            return operand()
+        char, kind = _CONNECTIVES[level]
+        f = connective(level + 1)
+        while tokens[pos][3] == char:
+            take()
+            f = kind(f, connective(level + 1))
+        return f
+
+    def operand():
+        modal, grade, symbol, char = take()
+        if modal:
+            return _MODALS[modal](int(grade), operand())
+        if symbol:
+            return Lit(symbol)
+        if char == "!" and tokens[pos][2]:
+            return Lit(take()[2], False)
+        if char == "(":
+            f = connective(0)
+            take(")")
+            return f
+        raise ValueError(f"unexpected {char!r} at token {pos - 1} of {text!r}")
+
+    f = connective(0)
+    take("end")
+    return f
+
+
+def negate(f):
+    """The complement of f with negation pushed to the literals: ``And``
+    and ``Or`` swap, and each modality turns into its ``dual``."""
+    if isinstance(f, Lit):
+        return Lit(f.symbol, not f.positive)
+    if isinstance(f, (And, Or)):
+        return (Or if isinstance(f, And) else And)(negate(f.left), negate(f.right))
+    return f.dual(f.grade, negate(f.sub))
 
 
 def counts_of(assignment, t: int) -> tuple[int, ...]:

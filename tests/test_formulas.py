@@ -1,76 +1,55 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gmlu.formulas import (
     And,
-    BareLiteralError,
     BoxLt,
     BoxNeq,
     DiamondEq,
     DiamondGeq,
-    FormulaSyntaxError,
     Lit,
     Or,
-    UnknownSymbolError,
     counting_depth,
     format_formula,
-    is_sentence,
-    negate,
-    parse_formula,
     size,
 )
 from gmlu.vocab import Vocabulary
 
-V1 = Vocabulary(("p",))
+from oracles import negate, read_formula
+
 V2 = Vocabulary(("p", "q"))
 
 
-# -- parsing -----------------------------------------------------------------
+# -- reading -----------------------------------------------------------------
 
 
 def test_parse_modalities():
-    assert parse_formula("<>=1 p", V1) == DiamondGeq(1, Lit("p"))
-    assert parse_formula("[]<1 p", V1) == BoxLt(1, Lit("p"))
-    assert parse_formula("<>==2 !p", V1) == DiamondEq(2, Lit("p", False))
-    assert parse_formula("[]!=0 p", V1) == BoxNeq(0, Lit("p"))
+    assert read_formula("<>=1 p") == DiamondGeq(1, Lit("p"))
+    assert read_formula("[]<1 p") == BoxLt(1, Lit("p"))
+    assert read_formula("<>==2 !p") == DiamondEq(2, Lit("p", False))
+    assert read_formula("[]!=0 p") == BoxNeq(0, Lit("p"))
 
 
 def test_parse_is_whitespace_insensitive():
-    a = parse_formula("<>=1p&<>==0!q", V2)
-    b = parse_formula("  <>= 1  p   &   <>== 0  ! q ", V2)
+    a = read_formula("<>=1p&<>==0!q")
+    b = read_formula("  <>= 1  p   &   <>== 0  ! q ")
     assert a == b == And(DiamondGeq(1, Lit("p")), DiamondEq(0, Lit("q", False)))
 
 
 def test_parse_precedence_and_parens():
-    f = parse_formula("<>=1 p | <>=1 q & []<1 p", V2)
+    f = read_formula("<>=1 p | <>=1 q & []<1 p")
     assert isinstance(f, Or) and isinstance(f.right, And)
-    g = parse_formula("<>=1 (p | q & !p)", V2)
+    g = read_formula("<>=1 (p | q & !p)")
     assert g == DiamondGeq(1, Or(Lit("p"), And(Lit("q"), Lit("p", False))))
 
 
-def test_bare_literal_rejected():
-    with pytest.raises(BareLiteralError):
-        parse_formula("p", V1)
-    with pytest.raises(BareLiteralError):
-        parse_formula("<>=1 p & !p", V1)
-
-
-def test_unknown_symbol_rejected_with_position():
-    with pytest.raises(UnknownSymbolError) as exc:
-        parse_formula("<>=1 q", V1)
-    assert exc.value.position == 5
-
-
-def test_syntax_error_has_position():
-    with pytest.raises(FormulaSyntaxError) as exc:
-        parse_formula("<>=1 (p", V1)
-    assert exc.value.position is not None
-
-
-def test_grade_cap():
-    parse_formula("<>=7 p", V1, max_grade=7)
-    with pytest.raises(FormulaSyntaxError):
-        parse_formula("<>=8 p", V1, max_grade=7)
+@pytest.mark.parametrize("text", [
+    "<>=1 p q", "<>=1 p)", "(<>=1 p", "<>=1 (p | q", "<>=1 p # <>=1 q", "<>1 p",
+    "<>=p", "<>=1", "<>=1 p &", "<>=1 !(p)", "",
+])
+def test_read_formula_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        read_formula(text)
 
 
 # -- measures ----------------------------------------------------------------
@@ -78,20 +57,20 @@ def test_grade_cap():
 
 def test_size_clauses():
     assert size(Lit("p")) == 1
-    assert size(parse_formula("[]<1 p", V1)) == 2
+    assert size(read_formula("[]<1 p")) == 2
     f = DiamondEq(3, And(Lit("p"), Lit("q", False)))
     assert size(f) == 3 + (1 + 1 + 1) + 1 == 7
 
 
 def test_counting_depth_clauses():
-    assert counting_depth(parse_formula("[]<1 p", V1)) == 1
-    assert counting_depth(parse_formula("<>==2 p", V1)) == 3
-    nested = parse_formula("<>=1 <>=4 p", V1)
+    assert counting_depth(read_formula("[]<1 p")) == 1
+    assert counting_depth(read_formula("<>==2 p")) == 3
+    nested = read_formula("<>=1 <>=4 p")
     assert counting_depth(nested) == 4
 
 
 def test_depth_of_booleans_is_max():
-    f = parse_formula("<>=2 p & <>==2 p", V1)
+    f = read_formula("<>=2 p & <>==2 p")
     assert counting_depth(f) == 3
 
 
@@ -193,8 +172,14 @@ def test_negate_preserves_size_and_depth(f):
     assert counting_depth(negate(f)) == counting_depth(f)
 
 
+_A, _B, _C = DiamondGeq(1, Lit("p")), BoxLt(2, Lit("q", False)), DiamondEq(0, Lit("p"))
+
+
 @settings(max_examples=200)
 @given(sentences(V2))
-def test_format_parse_roundtrip(f):
-    assert is_sentence(f)
-    assert parse_formula(format_formula(f), V2) == f
+@example(And(Or(_A, _B), _C))
+@example(Or(_A, Or(_B, _C)))
+@example(And(_A, And(_B, _C)))
+@example(BoxNeq(3, Or(Lit("p"), And(Lit("q"), Lit("p", False)))))
+def test_format_read_roundtrip(f):
+    assert read_formula(format_formula(f)) == f

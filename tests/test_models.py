@@ -15,8 +15,6 @@ from gmlu.formulas import (
     Or,
     counting_depth,
     format_formula,
-    negate,
-    parse_formula,
     size,
 )
 from gmlu.models import (
@@ -26,12 +24,11 @@ from gmlu.models import (
     bounded_compositions,
     enumerate_profiles,
     evaluate,
-    evaluate_pointed,
     sat_types,
 )
 from gmlu.vocab import Vocabulary
 
-from oracles import counts_of, eval_labeled_global, labeled_models
+from oracles import counts_of, eval_labeled_global, labeled_models, negate, read_formula
 from test_formulas import sentences
 
 V1 = Vocabulary(("p",))
@@ -39,28 +36,26 @@ V2 = Vocabulary(("p", "q"))
 
 
 def test_box_lt_example():
-    f = parse_formula("[]<1 p", V1)
+    f = read_formula("[]<1 p")
     assert evaluate(ModelProfile((3, 0)), f, V1) is True
     assert evaluate(ModelProfile((2, 1)), f, V1) is False
 
 
 def test_diamond_eq_example():
-    f = parse_formula("<>==2 p", V1)
+    f = read_formula("<>==2 p")
     assert evaluate(ModelProfile((2, 2)), f, V1) is True
     assert evaluate(ModelProfile((3, 1)), f, V1) is False
 
 
 def test_pointed_examples():
     pm = PointedProfile(ModelProfile((1, 1)), 0)
-    assert evaluate_pointed(pm, parse_formula("<>=2 p", V1), V1) is False
+    assert (pm.point_type in sat_types(read_formula("<>=2 p"), pm.profile, V1)) is False
     pm2 = PointedProfile(ModelProfile((1, 1)), 1)
-    assert evaluate_pointed(pm2, parse_formula("<>=1 p", V1), V1) is True
+    assert (pm2.point_type in sat_types(read_formula("<>=1 p"), pm2.profile, V1)) is True
 
 
 def test_count_satisfying():
-    # inner formula with a bare literal; built directly since parse rejects it
-    from gmlu.formulas import DiamondGeq, Lit, Or
-
+    # an inner formula, with a literal outside any modality
     f = Or(Lit("p"), DiamondGeq(3, Lit("q")))
     profile = ModelProfile((1, 2, 0, 1))
     satisfying = sum(profile.counts[i] for i in sat_types(f, profile, V2))
@@ -69,7 +64,7 @@ def test_count_satisfying():
 
 def test_vocabulary_mismatch():
     with pytest.raises(VocabularyMismatchError):
-        evaluate(ModelProfile((1, 1)), parse_formula("<>=1 p", V2), V2)
+        evaluate(ModelProfile((1, 1)), read_formula("<>=1 p"), V2)
 
 
 def test_profile_validation():
@@ -164,7 +159,7 @@ def test_every_modality_at_its_boundary_grades(vocab, max_n):
                     assert counting_depth(f) == max(k + extra, sub_depth)
                     text = format_formula(f)
                     assert text == f"{token}{k} {sub_text}"
-                    assert parse_formula(text, vocab) == f
+                    assert read_formula(text) == f
                     g = negate(f)
                     for assignment, profile in models:
                         value = eval_labeled_global(f, assignment, vocab)
@@ -184,7 +179,8 @@ def test_point_independence_and_duality(f, counts):
     profile = ModelProfile(tuple(counts))
     value = evaluate(profile, f, V2)
     for i in profile.realized_types():
-        assert evaluate_pointed(PointedProfile(profile, i), f, V2) == value
+        pm = PointedProfile(profile, i)
+        assert (pm.point_type in sat_types(f, pm.profile, V2)) == value
     assert evaluate(profile, negate(f), V2) == (not value)
 
 
@@ -202,7 +198,7 @@ def test_equal_counts_evaluate_identically():
     """Two explicit labeled models with the same counts satisfy the same
     formulas (exhaustive over size-4 labeled models, fixed formula set)."""
     fs = [
-        parse_formula(text, V2)
+        read_formula(text)
         for text in (
             "<>=2 (p & q)",
             "[]<2 (p | !q)",

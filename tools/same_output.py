@@ -84,6 +84,10 @@ stderrs are compared:
   below-sqrt --a 1 --n-values 16,64,128``, and the n=512 sweep ``phase
   sweep --tau p,q --rule below-sqrt --a 2 --n-values 512`` (98,770
   orbits);
+- exact sizes past CPython's 4,300-digit limit on printing an int:
+  ``class-size --tau p --n 15000 --d 1 --format json``, ``class-size --tau
+  p,q --n 20000 --d 3``, ``phase majority --tau p,q --n 20000 --d 8`` and
+  ``entropy --tau p --n 40000 --d 6``;
 - commands that leave options to a ``phase`` or ``verify`` action's own
   defaults: bare ``verify monotone``, ``verify monotone --mode exact``,
   bare ``verify stirling``, ``verify counting --max-n 6`` (no ``--tau``)
@@ -266,6 +270,14 @@ ORBITS: list[Command] = [((), argv) for argv in (
 )]
 
 
+LARGE_N: list[Command] = [((), argv) for argv in (
+    ("class-size", "--tau", "p", "--n", "15000", "--d", "1", "--format", "json"),
+    ("class-size", "--tau", "p,q", "--n", "20000", "--d", "3"),
+    ("phase", "majority", "--tau", "p,q", "--n", "20000", "--d", "8"),
+    ("entropy", "--tau", "p", "--n", "40000", "--d", "6"),
+)]
+
+
 DEFAULTS: list[Command] = [((), argv) for argv in (
     ("verify", "monotone"),
     ("verify", "monotone", "--mode", "exact"),
@@ -316,7 +328,8 @@ def main(argv=None) -> int:
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     commands = list(dict.fromkeys(
         readme_commands() + workload_commands() + game_commands() + GRIDS + EXACT
-        + MONOTONE + ROWS + TIES + SAMPLING + ORBITS + DEFAULTS + REJECTED + USAGE
+        + MONOTONE + ROWS + TIES + SAMPLING + ORBITS + LARGE_N + DEFAULTS + REJECTED
+        + USAGE
     ))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
