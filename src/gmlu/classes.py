@@ -111,9 +111,6 @@ class AdmissibleTuple(SlotRecord):
         best = max(self.entries)
         return self.entries.index(best)
 
-    def to_json(self) -> dict:
-        return {"entries": list(self.entries), "n": self.n, "d": self.d}
-
 
 def tuple_of_profile(profile: ModelProfile, d: int) -> AdmissibleTuple:
     """The class of the model: counts capped at d."""

@@ -11,8 +11,8 @@ cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
-import operator
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -40,8 +40,8 @@ def _ftext(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _tuple_text(entries, text=str) -> str:
-    return "|".join(map(text, entries))
+def _tuple_text(entries) -> str:
+    return "|".join(map(str, entries))
 
 
 def _entry_texts(n: int, d: int):
@@ -167,80 +167,122 @@ def _json_text(value, depth: int = 0) -> str:
         return _json_str(value)
     if type(value) is int:
         return int.__repr__(value)
-    if isinstance(value, (dict, list, tuple)) and value:
-        pad = "\n" + "  " * depth
-        if isinstance(value, dict):
-            body = [f"{_json_str(k)}: {_json_text(v, depth + 1)}"
-                    for k, v in sorted(value.items())]
-            return "{" + pad + "  " + f",{pad}  ".join(body) + pad + "}"
-        body = [_json_str(v) if type(v) is str else int.__repr__(v) if type(v) is int
-                else _json_text(v, depth + 1) for v in value]
-        return "[" + pad + "  " + f",{pad}  ".join(body) + pad + "]"
-    return _json_other(value)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _json_other(value)
+    if not isinstance(value, dict) and set(map(type, value)) == {int}:  # a tuple's entries
+        return _int_list(len(value), depth) % tuple(value)
+    pad = "\n" + "  " * depth
+    if isinstance(value, dict):
+        body = [f"{_json_str(k)}: {_json_text(v, depth + 1)}"
+                for k, v in sorted(value.items())]
+        return "{" + pad + "  " + f",{pad}  ".join(body) + pad + "}"
+    body = [_json_text(v, depth + 1) for v in value]
+    return "[" + pad + "  " + f",{pad}  ".join(body) + pad + "]"
+
+
+@functools.lru_cache(maxsize=256)
+def _int_list(length: int, depth: int) -> str:
+    """The ``%`` template of a JSON list of ``length`` ints at ``depth``."""
+    pad = "\n" + "  " * depth
+    return "[" + pad + "  " + f",{pad}  ".join(["%d"] * length) + pad + "]"
 
 
 def _write_json(payload: dict, write) -> None:
-    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline,
-    list and iterator values one element at a time.
-
-    Rows are dicts that mostly share one key set: its layout is computed
-    once, and again only when a row's key set differs from the last one.
-    """
+    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline;
+    a ``_Table`` is written as the list of its rows as dicts, a row at a time."""
     sep = "{"
     for key, value in sorted(payload.items()):
         write(f"{sep}\n  {_json_str(key)}: ")
         sep = ","
-        if isinstance(value, (list, tuple, Iterator)):
-            item_sep, shape = "[", None
-            for item in value:
-                if type(item) is not dict or not item:
-                    write(f"{item_sep}\n    {_json_text(item, 2)}")
-                    item_sep = ","
-                    continue
-                if item.keys() != shape:  # lay out the text before each value
-                    shape, keys = frozenset(item), sorted(item)
-                    heads = [f",\n      {_json_str(k)}: " for k in keys]
-                    heads[0] = "\n    {" + heads[0][1:]
-                parts = [item_sep]
-                for head, k in zip(heads, keys):
-                    parts.append(head)
-                    if type(v := item[k]) is str:
-                        parts.append(_json_str(v))
-                    elif type(v) is int:
-                        parts.append(int.__repr__(v))
-                    elif type(v) is list and v and set(map(type, v)) == {int}:
-                        ints = ",\n        ".join(map(int.__repr__, v))
-                        parts.append(f"[\n        {ints}\n      ]")
-                    else:
-                        parts.append(_json_text(v, 3))
-                parts.append("\n    }")
-                write("".join(parts))
-                item_sep = ","
-            write("[]" if item_sep == "[" else "\n  ]")
-        else:
+        if type(value) is not _Table:
             write(_json_text(value, 1))
+            continue
+        rows = value.texts("json")
+        if (first := next(rows, None)) is None:
+            write("[]")
+            continue
+        write("[" + first[1:])  # each row's text starts with its ","
+        for text in rows:
+            write(text)
+        write("\n  ]")
     write("\n}\n")
 
 
-class _Report:
-    """One report: header scalars plus an optional row table.
+def _csv_cell(width: int):
+    """csv's minimal quoting of one cell of a row of ``width`` cells; a
+    file whose ``write`` is ``str`` makes ``writerow`` return the line.  The
+    line terminator is the reports' own, since it decides what is quoted."""
+    import csv
+    from types import SimpleNamespace
 
-    ``rows`` may be any iterable of dicts; ``emit`` writes each row as it
-    is formatted.  ``json_extra`` holds structured values that only make
-    sense in JSON (nested objects); CSV and text skip them.
+    writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    if width == 1:  # csv quotes a lone empty cell
+        return lambda value: writerow((value,))[:-1]
+    return lambda value: writerow((value, None))[:-2]
+
+
+class _Table:
+    """Rows of ``columns``, each yielded by ``rows`` as a pair (shared, own)
+    of value tuples in column order: ``shared`` names the columns whose
+    cells many rows repeat (a class's size texts, a tuple's sum), ``own``
+    holds the rest.  Per distinct shared value and format, ``texts`` builds
+    one ``%`` template with the shared cells encoded, and a row is its
+    template filled with its encoded own cells.  Shared cells key the
+    templates, so they are strs and ints: equal values that print alike."""
+
+    def __init__(self, columns: list[str], rows: Iterable[tuple[tuple, tuple]],
+                 shared: tuple[str, ...] = ()):
+        self.columns, self.rows, self.shared = columns, rows, shared
+
+    def texts(self, fmt: str) -> Iterator[str]:
+        """The header line (CSV and text) and each row's line in ``fmt``; a
+        JSON row is ``,`` and the row's object as ``json.dumps`` indents it
+        in a report."""
+        columns, shared = self.columns, self.shared
+        common = [c for c in columns if c in shared]
+        own = [c for c in columns if c not in shared]
+        if fmt == "json":
+            columns = sorted(columns)
+            cell = lambda v: _json_str(v) if type(v) is str else _json_text(v, 3)
+            labels = [_json_str(c).replace("%", "%%") + ": " for c in columns]
+            begin, sep, end = ",\n    {\n      ", ",\n      ", "\n    }"
+        else:
+            cell = str if fmt == "text" else _csv_cell(len(columns))
+            labels, begin, end = [""] * len(columns), "", "\n"
+            sep = "  " if fmt == "text" else ","
+            yield sep.join(map(cell, columns)) + end
+        picks = [own.index(c) for c in columns if c not in shared]  # own cells in order
+        one, templates = len(picks) == 1, {}
+        for key, values in self.rows:
+            if (template := templates.get(key)) is None:
+                template = templates[key] = begin + sep.join(
+                    label + (cell(key[common.index(c)]).replace("%", "%%") if c in shared
+                             else "%s") for label, c in zip(labels, columns)
+                ) + end
+            yield template % (cell(values[0]) if one else
+                              tuple(cell(values[i]) for i in picks))
+
+
+class _Report:
+    """One report: header scalars plus an optional row ``_Table``, whose
+    rows come as (shared, own) pairs: the cells that many rows repeat, such
+    as a class's size texts, and the cells of that row alone, such as its
+    tuple.  ``emit`` writes each row as it is formatted, as the template of
+    its shared cells filled with its own.  ``json_extra`` holds values that
+    only JSON prints (nested objects, a second table); CSV and text skip
+    them.
     """
 
     def __init__(self, command: str, vocab: Vocabulary | None, scalars: dict,
-                 columns: list[str] | None = None, rows: Iterable[dict] | None = None,
-                 json_extra: dict | None = None):
+                 table: _Table | None = None, json_extra: dict | None = None):
         self.command = command
         self.vocab = vocab
         self.scalars = scalars
-        self.columns = columns or []
-        self.rows = rows or []
+        self.table = table
         self.json_extra = json_extra or {}
 
     def emit(self, fmt: str, out) -> None:
+        table = self.table
         if fmt == "json":
             payload = {"command": self.command}
             if self.vocab is not None:
@@ -250,87 +292,59 @@ class _Report:
                 }
             payload.update(self.scalars)
             payload.update(self.json_extra)
-            if self.columns:
-                payload["rows"] = self.rows
+            if table is not None:
+                payload["rows"] = table
             _write_json(payload, out.write)
-        elif fmt == "csv":
-            import csv
-
-            writer = csv.writer(out, lineterminator="\n")
-            if self.columns:
-                writer.writerow(self.columns)
-                writer.writerows(map(self._cells(), self.rows))
-            else:
-                writer.writerow(sorted(self.scalars))
-                writer.writerow([self.scalars[k] for k in sorted(self.scalars)])
-        else:
+            return
+        if fmt == "text":
             if self.vocab is not None:
-                print(
-                    f"# symbols: {','.join(self.vocab.symbols)}"
-                    f"  types: {', '.join(self.vocab.type_labels())}",
-                    file=out,
-                )
+                out.write(f"# symbols: {','.join(self.vocab.symbols)}"
+                          f"  types: {', '.join(self.vocab.type_labels())}\n")
             for key in sorted(self.scalars):
-                print(f"{key}: {self.scalars[key]}", file=out)
-            if self.columns:
-                print("  ".join(self.columns), file=out)
-                cells = self._cells()
-                for row in self.rows:
-                    out.write("  ".join(map(str, cells(row))) + "\n")
-
-    def _cells(self):
-        """A function from a row to the tuple of its column values."""
-        if len(self.columns) == 1:  # itemgetter of one key returns the bare value
-            column = self.columns[0]
-            return lambda row: (row[column],)
-        return operator.itemgetter(*self.columns)
+                out.write(f"{key}: {self.scalars[key]}\n")
+        elif table is None:  # the scalars as one CSV row under their names
+            keys = sorted(self.scalars)
+            table = _Table(keys, [((), tuple(map(self.scalars.__getitem__, keys)))])
+        if table is not None:
+            for text in table.texts(fmt):
+                out.write(text)
 
 
 _CLASS_COLUMNS = ["n", "d", "tuple", "size", "probability", "H_B_contrib"]
+_CLASS_SHARED = ("n", "d", "size", "probability", "H_B_contrib")
 
 
-def _class_rows(n: int, d: int, t: int, entries) -> Iterator[dict]:
-    """One row per class entry; size / t^n is the correctly rounded float
-    of the entry's exact probability.  A size's texts are computed once
-    per distinct size: permuting types keeps the size, so a few sizes
-    cover many classes."""
+def _class_rows(n: int, d: int, t: int, entries) -> Iterator[tuple[tuple, tuple]]:
+    """One row per class entry, its tuple text its own cell; size / t^n is
+    the correctly rounded float of the entry's exact probability.  A size's
+    shared cells are computed once per distinct size: permuting types keeps
+    the size, so a few sizes cover many classes."""
     denom = t**n
     entry_text = _entry_texts(n, d)
-    size_texts = {}
+    size_cells = {}
     for e in entries:
-        if (texts := size_texts.get(size := e.size)) is None:
+        if (cells := size_cells.get(size := e.size)) is None:
             p = size / denom
-            texts = size_texts[size] = (
-                str(size), _ftext(p), _ftext(p * math.log2(size))
+            cells = size_cells[size] = (
+                n, d, str(size), _ftext(p), _ftext(p * math.log2(size))
             )
-        yield {
-            "n": n,
-            "d": d,
-            "tuple": _tuple_text(e.tup.entries, entry_text),
-            "size": texts[0],
-            "probability": texts[1],
-            "H_B_contrib": texts[2],
-        }
+        yield cells, ("|".join(map(entry_text, e.tup.entries)),)
 
 
 def _cmd_tuples(args, vocab, caps) -> _Report:
     classes.check_enumeration_cap(args.n, args.d, vocab, caps)
     tuples = classes.enumerate_admissible(args.n, args.d, vocab)
     entry_text = _entry_texts(args.n, args.d)
+    rows = (((sum(t.entries), t.k_d), ("|".join(map(entry_text, t.entries)),))
+            for t in tuples)
+    n_d = (args.n, args.d)
     return _Report(
         "tuples",
         vocab,
         {"n": args.n, "d": args.d, "count": len(tuples)},
-        ["tuple", "sum", "capped_entries"],
-        (
-            {
-                "tuple": _tuple_text(t.entries, entry_text),
-                "sum": sum(t.entries),
-                "capped_entries": t.k_d,
-            }
-            for t in tuples
-        ),
-        json_extra={"tuples": (t.to_json() for t in tuples)},
+        _Table(["tuple", "sum", "capped_entries"], rows, ("sum", "capped_entries")),
+        {"tuples": _Table(["n", "d", "entries"], ((n_d, (t.entries,)) for t in tuples),
+                          ("n", "d"))},
     )
 
 
@@ -343,7 +357,8 @@ def _cmd_class_size(args, vocab, caps) -> _Report:
         entries = distribution.build_distribution(args.n, args.d, vocab).entries
     return _Report(
         "class-size", vocab, {"n": args.n, "d": args.d, "classes": len(entries)},
-        _CLASS_COLUMNS, _class_rows(args.n, args.d, vocab.t, entries),
+        _Table(_CLASS_COLUMNS, _class_rows(args.n, args.d, vocab.t, entries),
+               _CLASS_SHARED),
     )
 
 
@@ -364,49 +379,32 @@ def _cmd_entropy(args, vocab, caps) -> _Report:
             "entropy_sum": _fnum(h_s + h_b),
             "identity_target": args.n * len(vocab.symbols),
         },
-        _CLASS_COLUMNS,
-        _class_rows(args.n, args.d, vocab.t, dist.entries),
+        _Table(_CLASS_COLUMNS, _class_rows(args.n, args.d, vocab.t, dist.entries),
+               _CLASS_SHARED),
     )
 
 
 def _cmd_entropy_sweep(args, vocab, caps) -> _Report:
-    rows = []
-    for row in distribution.entropy_vs_depth(args.n, vocab):
-        rows.append(
-            {
-                "n": args.n,
-                "d": row.d,
-                "classes": row.class_count,
-                "shannon": _ftext(row.shannon),
-                "boltzmann": _ftext(row.boltzmann),
-                "entropy_sum": _ftext(row.entropy_sum),
-            }
-        )
-    return _Report(
-        "entropy-sweep", vocab, {"n": args.n},
+    rows = [
+        ((), (args.n, row.d, row.class_count, _ftext(row.shannon),
+              _ftext(row.boltzmann), _ftext(row.entropy_sum)))
+        for row in distribution.entropy_vs_depth(args.n, vocab)
+    ]
+    return _Report("entropy-sweep", vocab, {"n": args.n}, _Table(
         ["n", "d", "classes", "shannon", "boltzmann", "entropy_sum"], rows,
-    )
+    ))
 
 
-def _complexity_row(tup, vocab, want_exact, max_size, caps) -> dict:
+def _complexity_row(tup, vocab, want_exact, max_size, caps) -> tuple[tuple, tuple]:
     ub = complexity.upper_bound(tup, vocab)
-    row = {
-        "tuple": _tuple_text(tup.entries),
-        "lower": (lower := complexity.lower_bound(tup)),
-        "upper": ub.value,
-        "cover_cost": lower,
-        "canonical_formula_text": ub.formula_text,
-        "closed_form": ub.closed_form,
-        "closed_form_matches": ub.matches,
-        "bound_variant": ub.variant,
-        "depth": (depth := formulas.counting_depth(ub.formula)),
-        "depth_shallow": depth,
-        "exact": "",
-    }
+    lower = complexity.lower_bound(tup)
+    depth = formulas.counting_depth(ub.formula)
+    exact = ""
     if want_exact:
         value = complexity.exact_complexity(tup, vocab, max_size, caps)
-        row["exact"] = "not-found" if value is None else value
-    return row
+        exact = "not-found" if value is None else value
+    return (), (_tuple_text(tup.entries), lower, ub.value, exact, lower, ub.formula_text,
+                ub.closed_form, ub.matches, ub.variant, depth, depth)
 
 
 def _cmd_complexity(args, vocab, caps) -> _Report:
@@ -422,12 +420,11 @@ def _cmd_complexity(args, vocab, caps) -> _Report:
         "complexity",
         vocab,
         {"n": args.n, "d": args.d, "classes": len(rows)},
-        [
+        _Table([
             "tuple", "lower", "upper", "exact", "cover_cost",
             "canonical_formula_text", "closed_form", "closed_form_matches",
             "bound_variant", "depth", "depth_shallow",
-        ],
-        rows,
+        ], rows),
     )
 
 
@@ -448,8 +445,7 @@ def _cmd_cover(args, vocab, caps) -> _Report:
             "min_cover": sorted(subset),
             "lower_bound": complexity.lower_bound(tup),
         },
-        ["edge_from", "edge_to"],
-        [{"edge_from": i, "edge_to": j} for i, j in graph.edges],
+        _Table(["edge_from", "edge_to"], [((), edge) for edge in graph.edges]),
     )
 
 
@@ -513,23 +509,16 @@ def _phase_majority(args, vocab, caps) -> _Report:
 
 def _phase_sweep(args, vocab, caps) -> _Report:
     rule = distribution.make_depth_rule(args.rule, args.a, vocab)
-    rows = []
-    for row in distribution.dominating_class_sweep(rule, vocab, args.n_values):
-        rows.append(
-            {
-                "n": row.n,
-                "d": row.d,
-                "candidate_probability": _ftext(float(row.candidate_probability)),
-                "max_tuple": _tuple_text(row.max_tuple.entries),
-                "max_probability": _ftext(float(row.max_probability)),
-            }
-        )
+    rows = [
+        ((), (row.n, row.d, _ftext(float(row.candidate_probability)),
+              _tuple_text(row.max_tuple.entries), _ftext(float(row.max_probability))))
+        for row in distribution.dominating_class_sweep(rule, vocab, args.n_values)
+    ]
     return _Report(
         "phase",
         vocab,
         {"action": "sweep", "rule": args.rule, "a": args.a},
-        ["n", "d", "candidate_probability", "max_tuple", "max_probability"],
-        rows,
+        _Table(["n", "d", "candidate_probability", "max_tuple", "max_probability"], rows),
     )
 
 
@@ -564,10 +553,10 @@ def _verify_counting(args, vocab, caps) -> _Report:
             )
             match = total == vocab.t**n
             ok = ok and match
-            rows.append({"n": n, "d": d, "total": str(total), "ok": match})
+            rows.append(((), (n, d, str(total), match)))
     return _Report(
         "verify", vocab, {"check": "counting", "ok": ok},
-        ["n", "d", "total", "ok"], rows,
+        _Table(["n", "d", "total", "ok"], rows),
     )
 
 
@@ -583,17 +572,10 @@ def _verify_stirling(args, vocab, caps) -> _Report:
                     growth_ok = combinatorics.check_growth_bound(n, m, r).ok
                 good = chk.ok and growth_ok
                 ok = ok and good
-                rows.append(
-                    {
-                        "n": n, "m": m, "r": r,
-                        "value": str(chk.value),
-                        "bounds_ok": chk.ok,
-                        "growth_ok": growth_ok,
-                    }
-                )
+                rows.append(((), (n, m, r, str(chk.value), chk.ok, growth_ok)))
     return _Report(
         "verify", None, {"check": "stirling", "ok": ok},
-        ["n", "m", "r", "value", "bounds_ok", "growth_ok"], rows,
+        _Table(["n", "m", "r", "value", "bounds_ok", "growth_ok"], rows),
     )
 
 
@@ -782,10 +764,20 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # exact digits, however many
+    """Run the command ``argv`` names (default ``sys.argv[1:]``).  CPython's
+    limit on the digits of an int printed is lifted while it runs, so sizes
+    print exactly however many digits they have, and restored after."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         caps = caps_from_env()

@@ -14,7 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gmlu import complexity, distribution, game
-from gmlu.cli import _Report, _class_rows, _json_text, _write_json, build_parser, main
+from gmlu.cli import (
+    _CLASS_COLUMNS, _CLASS_SHARED, _Report, _Table, _class_rows, _json_text, _write_json,
+    build_parser, main,
+)
 from gmlu.config import SearchCaps
 from gmlu.vocab import Vocabulary
 
@@ -145,6 +148,16 @@ def test_zero_row_report_prints_an_empty_list(capsys):
     assert json.loads(out)["rows"] == []
 
 
+def _row_cells(columns, shared_names, shared, own) -> list:
+    """A (shared, own) row's cells in column order."""
+    shared, own = iter(shared), iter(own)
+    return [next(shared if c in shared_names else own) for c in columns]
+
+
+def _row_dict(columns, shared_names, shared, own) -> dict:
+    return dict(zip(columns, _row_cells(columns, shared_names, shared, own)))
+
+
 @pytest.mark.parametrize("tau,n,d", [("p,q", 24, 12), ("p,q,r", 6, 2)])
 def test_class_rows_match_a_per_entry_reference(tau, n, d):
     vocab = Vocabulary.from_csv(tau)
@@ -153,9 +166,9 @@ def test_class_rows_match_a_per_entry_reference(tau, n, d):
     assert len(rows) == len(entries)
     assert len({e.size for e in entries}) < len(entries)  # sizes repeat
     assert max(max(e.tup.entries) for e in entries) >= min(n, d)
-    for row, e in zip(rows, entries):
+    for (shared, own), e in zip(rows, entries):
         p = float(Fraction(e.size, vocab.t**n))
-        assert row == {
+        assert _row_dict(_CLASS_COLUMNS, _CLASS_SHARED, shared, own) == {
             "n": n,
             "d": d,
             "tuple": "|".join(map(str, e.tup.entries)),
@@ -211,8 +224,39 @@ def test_entry_texts_do_not_grow_with_d(capsys, argv, expected):
 @pytest.mark.parametrize("fmt", ["csv", "text"])
 def test_one_column_table_prints_one_field_per_line(fmt):
     out = io.StringIO()
-    _Report("x", None, {}, ["c"], [{"c": "ab"}]).emit(fmt, out)
+    _Report("x", None, {}, _Table(["c"], [((), ("ab",))])).emit(fmt, out)
     assert out.getvalue() == "c\nab\n"
+
+
+class _Discard:
+    """A sink that throws writes away and counts their characters."""
+    size = 0
+
+    def write(self, text: str) -> None:
+        self.size += len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_class_rows_stream_with_one_template_per_size(fmt):
+    vocab = Vocabulary.from_csv("p,q,r")
+    entries = distribution.build_distribution(12, 3, vocab).entries
+    assert (len(entries), len({e.size for e in entries})) == (30676, 47)
+
+    def report() -> _Report:
+        table = _Table(_CLASS_COLUMNS, _class_rows(12, 3, vocab.t, entries), _CLASS_SHARED)
+        return _Report("entropy", vocab, {"n": 12}, table)
+
+    want, sink = io.StringIO(), _Discard()
+    report().emit(fmt, want)
+    emitted = report()  # its rows are a generator: nothing is formatted yet
+    tracemalloc.start()
+    try:
+        emitted.emit(fmt, sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.size == len(want.getvalue()) > 30676 * 20
+    assert peak < 2**20
 
 
 # JSON values as the reports hold them, and the corners of the format:
@@ -238,43 +282,118 @@ def test_json_writer_prints_what_json_dumps_prints(value, payload):
     assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.dictionaries(st.text(), _JSON_VALUES, max_size=6), max_size=4),
-       _PAYLOADS)
-def test_json_writer_streams_generated_rows(rows, payload):
-    want = json.dumps({**payload, "rows": rows}, sort_keys=True, indent=2) + "\n"
+# Text that a template or a format must escape: % and {} (template
+# syntax), quotes, commas, line breaks, non-ASCII and NUL.
+_AWKWARD_TEXT = st.text(st.sampled_from('%s{}0"\',;\n\r \t\\|\u00e9\u2603\x00'),
+                        max_size=6) | st.text(max_size=4)
+
+
+_INTS = st.integers(min_value=-(10**40), max_value=10**40)
+_SCALARS = _AWKWARD_TEXT | _INTS | st.floats() | st.booleans() | st.none()
+
+
+@st.composite
+def _tables(draw, cells, shared_cells=_AWKWARD_TEXT | _INTS):
+    """(columns, shared names, rows) of a table whose shared part repeats
+    and changes mid-stream; it may have no rows, or no own cells.  Shared
+    cells key the templates, so they are texts and ints, whose equal values
+    print alike (1, 1.0 and True do not)."""
+    columns = draw(st.lists(_AWKWARD_TEXT, min_size=1, max_size=5, unique=True))
+    shared = tuple(c for c in columns if draw(st.booleans()))
+    width = len(columns) - len(shared)
+    keys = draw(st.lists(st.tuples(*[shared_cells] * len(shared)), min_size=1,
+                         max_size=3))
+    rows = draw(st.lists(st.tuples(st.sampled_from(keys), st.tuples(*[cells] * width)),
+                         max_size=8))
+    return columns, shared, rows
+
+
+# %-templates built from cells and labels that hold % themselves
+_PERCENT_TABLE = (["a%s", "%", "%%d"], ("a%s", "%%d"),
+                  [(("%d%%", "%"), ("%s",)), (("%", "%("), ("x%",)),
+                   (("%d%%", "%"), ("",))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables(_JSON_VALUES | _AWKWARD_TEXT), _PAYLOADS)
+@example(_PERCENT_TABLE, {"n": 1})
+@example((["c"], (), []), {"n": 1})
+def test_json_writer_streams_generated_rows(table, payload):
+    columns, shared, rows = table
+    dicts = [_row_dict(columns, shared, key, own) for key, own in rows]
+    want = json.dumps({**payload, "rows": dicts}, sort_keys=True, indent=2) + "\n"
     out = io.StringIO()
-    _write_json({**payload, "rows": (row for row in rows)}, out.write)
+    _write_json({**payload, "rows": _Table(columns, (row for row in rows), shared)},
+                out.write)
     assert out.getvalue() == want
 
 
-# Rows that change shape mid-stream: the writer lays out one key set and
-# must lay out again, or fall back, whenever a row breaks its pattern.
+def _csv_reference(columns, rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _text_reference(columns, rows) -> str:
+    return "".join("  ".join(map(str, cells)) + "\n" for cells in [columns, *rows])
+
+
+@pytest.mark.parametrize("fmt, reference", [("csv", _csv_reference),
+                                            ("text", _text_reference)])
+@settings(max_examples=60, deadline=None)
+@given(table=_tables(_SCALARS))
+@example(table=_PERCENT_TABLE)
+@example(table=(["c"], (), [((), ("",)), ((), ("x",))]))  # csv quotes a lone empty cell
+@example(table=(["c"], ("c",), [(("",), ())]))
+@example(table=(["a", "b"], (), []))
+def test_row_tables_print_what_csv_and_text_print(fmt, reference, table):
+    columns, shared, rows = table
+    out = io.StringIO()
+    _Report("x", None, {}, _Table(columns, iter(rows), shared)).emit(fmt, out)
+    assert out.getvalue() == reference(
+        columns, [_row_cells(columns, shared, key, own) for key, own in rows]
+    )
+
+
+# Rows whose shared part changes mid-stream: the writer builds a template
+# per distinct shared value, and must build or reuse one whenever a row's
+# shared value differs from the last row's.  Each is (columns, shared
+# column names, rows as (shared, own) pairs).
 _SHAPE_CHANGES = {
-    "key-set-a-b-a": [{"a": 1, "b": "x"}, {"c": [1, 2]}, {"b": "y", "a": 2},
-                      {"a": 3, "b": "z", "c": 0}, {"a": 4}],
-    "column-type-changes": [{"v": x, "w": 0} for x in
-                            (2, "not-found", "", True, False, None, math.nan, 2.5, 3)],
-    "list-and-dict-values": [
-        {"ints": [1, -2, 10**30], "strs": ["a", "\u00e9"], "empty": [],
-         "nested": {"z": [1], "a": {"b": None}}, "tuple": (1, 2)},
-        {"ints": [True, 1], "strs": [], "empty": [[]], "nested": {},
-         "tuple": ()},
-        {"ints": [1.0, 2], "strs": ["x", 1], "empty": [{}], "nested": {"k": "v"},
-         "tuple": ("a",)},
-    ],
-    "empty-row": [{"a": 1}, {}, {"a": 2}, {}],
-    "escaped-keys": [{'"q"': 1, "a\nb": 2, "\u00e9": 3, "\\": "\u2603", "\x00": []},
-                     {'"q"': 4, "a\nb": 5, "\u00e9": 6, "\\": "", "\x00": [7]}],
+    "key-set-a-b-a": (["a", "b", "c"], ("a", "b"), [
+        ((1, "x"), ([1, 2],)), ((2, "y"), (0,)), ((1, "x"), ("z",)),
+        ((3, "z"), (None,)), ((1, "x"), ({"k": 1},)),
+    ]),
+    "column-type-changes": (["v", "w"], ("w",), [
+        ((0,), (x,)) for x in (2, "not-found", "", True, False, None, math.nan, 2.5, 3)
+    ]),
+    "shared-type-changes": (["v", "w"], ("v",), [
+        ((x,), (0,)) for x in (2, "not-found", "", True, False, None, math.nan, 2.5, 3, 2)
+    ]),
+    "list-and-dict-values": (["ints", "strs", "empty", "nested", "tuple"], (), [
+        ((), ([1, -2, 10**30], ["a", "\u00e9"], [], {"z": [1], "a": {"b": None}},
+              (1, 2))),
+        ((), ([True, 1], [], [[]], {}, ())),
+        ((), ([1.0, 2], ["x", 1], [{}], {"k": "v"}, ("a",))),
+    ]),
+    "empty-row": (["a"], ("a",), [((1,), ()), ((2,), ()), ((1,), ())]),
+    "escaped-keys": (['"q"', "a\nb", "\u00e9", "\\", "\x00", "100%"], ('"q"', "100%"), [
+        ((1, "%s"), (2, 3, "\u2603", [])),
+        ((4, "%"), (5, 6, "", [7])),
+    ]),
 }
 
 
-@pytest.mark.parametrize("rows", _SHAPE_CHANGES.values(), ids=_SHAPE_CHANGES)
-def test_json_writer_rows_that_change_shape(rows):
-    want = json.dumps({"n": 1, "rows": rows}, sort_keys=True, indent=2) + "\n"
+@pytest.mark.parametrize("table", _SHAPE_CHANGES.values(), ids=_SHAPE_CHANGES)
+def test_json_writer_rows_that_change_shape(table):
+    columns, shared, rows = table
+    dicts = [_row_dict(columns, shared, key, own) for key, own in rows]
+    want = json.dumps({"n": 1, "rows": dicts}, sort_keys=True, indent=2) + "\n"
     for given in (rows, iter(rows)):
         out = io.StringIO()
-        _write_json({"n": 1, "rows": given}, out.write)
+        _write_json({"n": 1, "rows": _Table(columns, given, shared)}, out.write)
         assert out.getvalue() == want
 
 
@@ -833,6 +952,25 @@ def test_class_sizes_past_the_int_digit_limit_print_in_full():
         }
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_main_restores_the_int_digit_limit(capsys):
+    n = 15000  # 2^n - 2 has 4,516 digits, past CPython's default limit of 4,300
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = str(2**n - 2)
+        sys.set_int_max_str_digits(4300)
+        code, out = run(capsys, "class-size", "--tau", "p", "--n", str(n), "--d", "1")
+        after_report = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit):  # a usage error leaves main by SystemExit
+            main(["class-size", "--tau", "p", "--n", "0", "--d", "1"])
+        after_usage_error = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, after_report, after_usage_error) == (0, 4300, 4300)
+    assert len(want) == 4516
+    assert f"\n{n}  1  1|1  {want}  " in out
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])

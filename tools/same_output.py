@@ -84,6 +84,12 @@ stderrs are compared:
   below-sqrt --a 1 --n-values 16,64,128``, and the n=512 sweep ``phase
   sweep --tau p,q --rule below-sqrt --a 2 --n-values 512`` (98,770
   orbits);
+- the ``dist-rows`` commands in the formats its workload does not print
+  them in: ``entropy --tau p,q,r --n 12 --d 3`` in CSV and text,
+  ``class-size --tau p,q --n 64 --d 16`` in JSON and text, ``entropy
+  --tau p,q --n 64 --d 16`` in JSON and CSV, and ``tuples --tau p,q,r
+  --n 12 --d 3`` in CSV and text, so every format of every row table is
+  compared at benchmark scale;
 - exact sizes past CPython's 4,300-digit limit on printing an int:
   ``class-size --tau p --n 15000 --d 1 --format json``, ``class-size --tau
   p,q --n 20000 --d 3``, ``phase majority --tau p,q --n 20000 --d 8`` and
@@ -270,6 +276,15 @@ ORBITS: list[Command] = [((), argv) for argv in (
 )]
 
 
+# The dist-rows commands in the formats the benchmark does not run them in.
+DIST_ROWS: list[Command] = [((), (*argv, "--format", fmt)) for argv, formats in (
+    (("entropy", "--tau", "p,q,r", "--n", "12", "--d", "3"), ("csv", "text")),
+    (("class-size", "--tau", "p,q", "--n", "64", "--d", "16"), ("json", "text")),
+    (("entropy", "--tau", "p,q", "--n", "64", "--d", "16"), ("json", "csv")),
+    (("tuples", "--tau", "p,q,r", "--n", "12", "--d", "3"), ("csv", "text")),
+) for fmt in formats]
+
+
 LARGE_N: list[Command] = [((), argv) for argv in (
     ("class-size", "--tau", "p", "--n", "15000", "--d", "1", "--format", "json"),
     ("class-size", "--tau", "p,q", "--n", "20000", "--d", "3"),
@@ -328,8 +343,8 @@ def main(argv=None) -> int:
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     commands = list(dict.fromkeys(
         readme_commands() + workload_commands() + game_commands() + GRIDS + EXACT
-        + MONOTONE + ROWS + TIES + SAMPLING + ORBITS + LARGE_N + DEFAULTS + REJECTED
-        + USAGE
+        + MONOTONE + ROWS + DIST_ROWS + TIES + SAMPLING + ORBITS + LARGE_N + DEFAULTS
+        + REJECTED + USAGE
     ))
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
