@@ -138,46 +138,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_usage_error(message))
 
 
-def _bind_json() -> None:
-    """Bind ``_json_str`` and ``_json_other`` to json's encoders.  Until
-    then each is a stand-in that binds them and calls the real one, so
-    json is imported by the first report that prints JSON, not by every
-    command."""
-    global _json_str, _json_other
-    from json import JSONEncoder
-    from json.encoder import encode_basestring_ascii as _json_str
+def _json_text(value, depth: int) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` nested ``depth``
+    levels deep; a nonempty tuple of ints (a tuple's entries) fills a
+    cached template."""
+    if type(value) is tuple and set(map(type, value)) == {int}:
+        return _int_list(len(value), depth) % value
+    import json
 
-    _json_other = JSONEncoder().encode
-
-
-def _json_str(text: str) -> str:
-    _bind_json()
-    return _json_str(text)
-
-
-def _json_other(value) -> str:
-    _bind_json()
-    return _json_other(value)
-
-
-def _json_text(value, depth: int = 0) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` for string-keyed
-    values, nested ``depth`` levels deep, built as one string."""
-    if type(value) is str:
-        return _json_str(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    if not isinstance(value, (dict, list, tuple)) or not value:
-        return _json_other(value)
-    if not isinstance(value, dict) and set(map(type, value)) == {int}:  # a tuple's entries
-        return _int_list(len(value), depth) % tuple(value)
-    pad = "\n" + "  " * depth
-    if isinstance(value, dict):
-        body = [f"{_json_str(k)}: {_json_text(v, depth + 1)}"
-                for k, v in sorted(value.items())]
-        return "{" + pad + "  " + f",{pad}  ".join(body) + pad + "}"
-    body = [_json_text(v, depth + 1) for v in value]
-    return "[" + pad + "  " + f",{pad}  ".join(body) + pad + "]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 @functools.lru_cache(maxsize=256)
@@ -190,9 +159,11 @@ def _int_list(length: int, depth: int) -> str:
 def _write_json(payload: dict, write) -> None:
     """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline;
     a ``_Table`` is written as the list of its rows as dicts, a row at a time."""
+    from json.encoder import encode_basestring_ascii as quote
+
     sep = "{"
     for key, value in sorted(payload.items()):
-        write(f"{sep}\n  {_json_str(key)}: ")
+        write(f"{sep}\n  {quote(key)}: ")
         sep = ","
         if type(value) is not _Table:
             write(_json_text(value, 1))
@@ -242,9 +213,11 @@ class _Table:
         common = [c for c in columns if c in shared]
         own = [c for c in columns if c not in shared]
         if fmt == "json":
+            from json.encoder import encode_basestring_ascii as quote
+
             columns = sorted(columns)
-            cell = lambda v: _json_str(v) if type(v) is str else _json_text(v, 3)
-            labels = [_json_str(c).replace("%", "%%") + ": " for c in columns]
+            cell = lambda v: quote(v) if type(v) is str else _json_text(v, 3)
+            labels = [quote(c).replace("%", "%%") + ": " for c in columns]
             begin, sep, end = ",\n    {\n      ", ",\n      ", "\n    }"
         else:
             cell = str if fmt == "text" else _csv_cell(len(columns))

@@ -123,7 +123,6 @@ class BoxNeq(Modal):
 
 DiamondGeq.dual, BoxLt.dual = BoxLt, DiamondGeq
 DiamondEq.dual, BoxNeq.dual = BoxNeq, DiamondEq
-MODAL_TYPES = (DiamondGeq, BoxLt, DiamondEq, BoxNeq)
 
 
 def size(f: Formula) -> int:

@@ -272,11 +272,17 @@ _PAYLOADS = st.dictionaries(st.text(), _JSON_VALUES, min_size=1, max_size=4)
 
 
 @settings(max_examples=120, deadline=None)
-@given(_JSON_VALUES, _PAYLOADS)
+@given(_JSON_VALUES, st.integers(min_value=0, max_value=3), _PAYLOADS)
 @example({"zb": [math.nan, math.inf, -math.inf, -0.0, 10**40, True, False, None],
-          "a\u00e9\u2603": ["\U0001f600\n\"", [], {}, ()]}, {"rows": []})
-def test_json_writer_prints_what_json_dumps_prints(value, payload):
-    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+          "a\u00e9\u2603": ["\U0001f600\n\"", [], {}, ()]}, 1, {"rows": []})
+@example((True, 1), 2, {"n": 1})  # bools are not printed as ints
+@example((), 2, {"n": 1})
+@example((7,), 2, {"n": 1})
+@example((-3, 10**40), 3, {"n": 1})
+@example([1, 2], 1, {"n": 1})
+def test_json_writer_prints_what_json_dumps_prints(value, depth, payload):
+    want = json.dumps(value, sort_keys=True, indent=2)
+    assert _json_text(value, depth) == want.replace("\n", "\n" + "  " * depth)
     out = io.StringIO()
     _write_json(payload, out.write)
     assert out.getvalue() == json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -128,7 +128,8 @@ def test_a_text_report_imports_neither_json_nor_fractions(argv):
 @pytest.mark.parametrize("argv, modules", [
     (["entropy", "--tau", "p", "--n", "3", "--d", "1", "--format", "json"], "json"),
     (["phase", "majority", "--tau", "p", "--n", "8", "--d", "1"], "fractions decimal"),
-], ids=["json-report", "majority"])
+    (["phase", "constants", "--tau", "p", "--format", "json"], "json"),
+], ids=["json-report", "majority", "json-scalars"])
 def test_a_report_imports_json_or_fractions_where_it_prints_them(argv, modules):
     assert _output("-S", "-c", BARE_PROBE, *argv) == modules + "\n"
 

@@ -10,7 +10,11 @@ every command below as ``python -m gmlu ...`` from its own ``src``, with
 no ``GMLU_*`` variable inherited, and the two exit codes, stdouts and
 stderrs are compared:
 
-- the commands of README.md's "Command line" block;
+- the commands of README.md's "Command line" block, and each of them
+  that the README prints as text or CSV again with ``--format json``,
+  so the values a report prints outside its row table (floats, bools,
+  the ``vocabulary`` object, a game's ``trace``, the ``cover`` lists)
+  are compared as JSON too;
 - every command of the four ``perfbench`` workloads for seeds 1-8
   (``perfbench/run.workload_commands``, with their environment);
 - ``game solve`` and ``game trace`` at r = 5 and 7 on each benchmark
@@ -133,11 +137,18 @@ Command = tuple[tuple[tuple[str, str], ...], tuple[str, ...]]  # (env, argv)
 
 
 def readme_commands() -> list[Command]:
-    """The README commands, extracted as tests/test_cli.py extracts them."""
+    """The README commands, extracted as tests/test_cli.py extracts them,
+    then each that the README prints in another format with ``--format
+    json`` in place of its own."""
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## Command line")[1].split("```sh")[1].split("```")[0]
-    return [((), tuple(line.split("#")[0].split()[1:]))
-            for line in block.strip().splitlines()]
+    commands = [line.split("#")[0].split()[1:] for line in block.strip().splitlines()]
+    as_json = []
+    for argv in commands:
+        at = argv.index("--format") if "--format" in argv else len(argv)
+        if argv[at + 1:at + 2] != ["json"]:
+            as_json.append((*argv[:at], *argv[at + 2:], "--format", "json"))
+    return [((), tuple(argv)) for argv in commands] + [((), argv) for argv in as_json]
 
 
 def workload_commands() -> list[Command]:
