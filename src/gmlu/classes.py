@@ -202,16 +202,21 @@ def check_enumeration_cap(n: int, d: int, vocab: Vocabulary, caps: SearchCaps) -
 
 
 def enumerate_orbits(
-    n: int, d: int, vocab: Vocabulary
-) -> list[tuple[AdmissibleTuple, int]]:
-    """One representative per permutation orbit of the admissible tuples.
+    n: int, d: int, vocab: Vocabulary, factorials: FactorialMemo | None = None
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """(entries, weight, size) for each permutation orbit of the admissible
+    tuples.
 
     Permuting a tuple's entries keeps it admissible and keeps its class
     size, so reductions over all classes can run over orbits.  Each
-    representative has non-increasing entries and comes with its number
-    of distinct permutations, t! / prod(multiplicity of each value)!,
-    divided out along each run of equal entries.
+    orbit is named by its non-increasing entries.  Its weight is its
+    number of distinct permutations, t! / prod(multiplicity of each
+    value)!, divided out along each run of equal entries.  Its size, that
+    of each of its classes, is read from the entries with no record
+    built, with factorials from ``factorials`` or a memo of this call's own.
     """
+    if factorials is None:
+        factorials = FactorialMemo()
     out = []
     t_factorial = math.factorial(vocab.t)
     for e in _admissible_entries(n, d, vocab.t, True):
@@ -219,7 +224,7 @@ def enumerate_orbits(
         for a, b in zip(e, e[1:]):
             run = run + 1 if a == b else 1
             weight //= run
-        out.append((AdmissibleTuple(e, n, d), weight))
+        out.append((e, weight, _entries_size(e, n, d, factorials)))
     return out
 
 
@@ -235,19 +240,18 @@ class FactorialMemo(dict):
         return value
 
 
-def class_size(tup: AdmissibleTuple, factorials: FactorialMemo | None = None) -> int:
-    """Exact number of size-n models in the class.
+def _entries_size(
+    entries: tuple[int, ...], n: int, d: int, factorials: FactorialMemo
+) -> int:
+    """Exact number of size-n models in the class of the (n, d)-admissible
+    ``entries``.
 
     Pick the points for each exactly-specified type, leaving m points to
     the capped types: n! / (m! * prod of e! over the entries e < d).
     Split those m into one block of size >= d per capped type, and assign
     capped types to blocks.  With no capped entry m is 0 and both
-    partition factors degenerate to 1.  The factorials come from
-    ``factorials``, or from a memo of this call's own when none is given.
+    partition factors degenerate to 1.
     """
-    if factorials is None:
-        factorials = FactorialMemo()
-    n, d, entries = tup.n, tup.d, tup.entries
     k_d = entries.count(d)
     m = n - sum(entries) + k_d * d
     denominator = 1
@@ -259,3 +263,12 @@ def class_size(tup: AdmissibleTuple, factorials: FactorialMemo | None = None) ->
     if k_d == 0:
         return size
     return size * factorials[k_d] * stirling_r_assoc(m, k_d, d)
+
+
+def class_size(tup: AdmissibleTuple, factorials: FactorialMemo | None = None) -> int:
+    """Exact number of size-n models in the class; see _entries_size.  The
+    factorials come from ``factorials``, or from a memo of this call's own
+    when none is given."""
+    if factorials is None:
+        factorials = FactorialMemo()
+    return _entries_size(tup.entries, tup.n, tup.d, factorials)

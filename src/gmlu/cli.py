@@ -521,8 +521,8 @@ def _verify_counting(args, vocab, caps) -> _Report:
         factorials = classes.FactorialMemo()
         for d in range(1, n + 1):
             total = sum(
-                w * classes.class_size(rep, factorials)
-                for rep, w in classes.enumerate_orbits(n, d, vocab)
+                w * size
+                for _, w, size in classes.enumerate_orbits(n, d, vocab, factorials)
             )
             match = total == vocab.t**n
             ok = ok and match

@@ -96,12 +96,10 @@ def build_distribution(n: int, d: int, vocab: Vocabulary) -> ClassDistribution:
 
 def _orbit_table(
     n: int, d: int, vocab: Vocabulary
-) -> list[tuple[AdmissibleTuple, int, int]]:
-    """(representative, multiplicity, class size) for every permutation
-    orbit of (n, d)-admissible tuples; see classes.enumerate_orbits."""
-    factorials = FactorialMemo()
-    table = [(rep, w, class_size(rep, factorials))
-             for rep, w in enumerate_orbits(n, d, vocab)]
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """(entries, multiplicity, class size) for every permutation orbit of
+    (n, d)-admissible tuples; see classes.enumerate_orbits."""
+    table = enumerate_orbits(n, d, vocab)
     total = sum(w * size for _, w, size in table)
     if total != vocab.t**n:
         raise AssertionError(
@@ -214,18 +212,20 @@ def _candidate_and_max(
     admissible, and the largest class's tuple, each with its class size.
 
     Among equally large classes the lexicographically first tuple wins:
-    the smallest tuple of an orbit is its representative sorted ascending.
+    the smallest tuple of an orbit is its non-increasing entries reversed.
+    Only the two reported tuples are built as records.
     """
     all_capped = (d,) * vocab.t
-    candidate, candidate_size = None, 0
-    max_entries, max_size = None, 0
-    for rep, _, size in _orbit_table(n, d, vocab):
-        if rep.entries == all_capped:
-            candidate, candidate_size = rep, size
-        first = tuple(sorted(rep.entries))
-        if size > max_size or (size == max_size and first < max_entries):
-            max_entries, max_size = first, size
-    return candidate, candidate_size, AdmissibleTuple(max_entries, n, d), max_size
+    candidate_size = 0
+    max_first, max_size = None, 0
+    for entries, _, size in _orbit_table(n, d, vocab):
+        if entries == all_capped:
+            candidate_size = size
+        if size > max_size or (size == max_size and entries[::-1] < max_first):
+            max_first, max_size = entries[::-1], size
+    # every class holds a model, so a size of 0 means no all-capped orbit
+    candidate = AdmissibleTuple(all_capped, n, d) if candidate_size else None
+    return candidate, candidate_size, AdmissibleTuple(max_first, n, d), max_size
 
 
 def majority_report(n: int, d: int, vocab: Vocabulary) -> MajorityReport:

@@ -78,16 +78,17 @@ def test_orbits_expand_to_the_admissible_tuples():
                 tuples = [t.entries for t in enumerate_admissible(n, d, vocab)]
                 orbits = enumerate_orbits(n, d, vocab)
                 expanded = []
-                for rep, multiplicity in orbits:
-                    assert (rep.n, rep.d) == (n, d)
-                    assert list(rep.entries) == sorted(rep.entries, reverse=True)
-                    perms = list(distinct_permutations(rep.entries))
-                    assert multiplicity == len(perms), (rep, multiplicity)
-                    values = Counter(rep.entries).values()
-                    assert multiplicity == multinomial(vocab.t, list(values)), rep
+                for entries, multiplicity, size in orbits:
+                    assert list(entries) == sorted(entries, reverse=True)
+                    perms = list(distinct_permutations(entries))
+                    assert multiplicity == len(perms), (entries, multiplicity)
+                    values = Counter(entries).values()
+                    assert multiplicity == multinomial(vocab.t, list(values)), entries
+                    tup = AdmissibleTuple(entries, n, d)
+                    assert size == class_size(tup) == reference_class_size(tup), tup
                     expanded.extend(perms)
                 assert sorted(expanded) == tuples, (vocab.symbols, n, d)
-                assert sum(w for _, w in orbits) == len(tuples)
+                assert sum(w for _, w, _ in orbits) == len(tuples)
 
 
 def test_class_size_examples():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -5,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from gmlu import complexity, distribution
+from gmlu import classes, cli, complexity, distribution
 from gmlu.classes import AdmissibleTuple, class_size, enumerate_admissible
 from gmlu.complexity import upper_bound
 from gmlu.distribution import (
     ClassDistribution,
     ClassEntry,
+    PhaseConstants,
     boltzmann_entropy,
     build_distribution,
     comparability_constant,
@@ -31,6 +33,7 @@ from oracles import choices_counts, choices_separation, multinomial
 
 V1 = Vocabulary(("p",))
 V2 = Vocabulary(("p", "q"))
+V3 = Vocabulary(("p", "q", "r"))
 
 
 # -- distributions and entropies ----------------------------------------------
@@ -198,6 +201,21 @@ def test_majority_four_types():
     assert not rep2.has_majority
 
 
+def test_majority_regimes_include_their_boundaries(monkeypatch, capsys):
+    # n/t - c1*sqrt(n) = 8 - 4 = 4.0 and n/t - c2*sqrt(n) = 8 - 2 = 6.0 exactly
+    monkeypatch.setattr(distribution, "phase_constants",
+                        lambda vocab: PhaseConstants(1.0, 0.5, 2))
+    regimes = {d: majority_report(16, d, V1).regime for d in (4, 5, 6)}
+    assert regimes == {
+        4: "majority (d <= n/t - c1*sqrt(n))",
+        5: None,
+        6: "no-majority (d >= n/t - c2*sqrt(n))",
+    }
+    assert cli.main(["phase", "majority", "--tau", "p", "--n", "16", "--d", "5",
+                     "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["regime"] == "between-thresholds"
+
+
 # -- orbit reductions against the per-tuple distribution -------------------------
 
 
@@ -232,6 +250,31 @@ def test_orbit_reductions_match_per_tuple_reference():
             assert row.class_count == len(dist.entries)
             assert abs(row.shannon - shannon_entropy(dist)) < 1e-12
             assert abs(row.boltzmann - boltzmann_entropy(dist)) < 1e-12
+
+
+def test_orbit_reductions_build_no_record_per_orbit(monkeypatch, capsys):
+    def refuse(tup, factorials=None):
+        raise AssertionError("an orbit reduction called class_size")
+
+    built = []
+    init = AdmissibleTuple.__init__
+
+    def counted(self, entries, n, d):
+        built.append(entries)
+        init(self, entries, n, d)
+
+    monkeypatch.setattr(classes, "class_size", refuse)
+    monkeypatch.setattr(distribution, "class_size", refuse)
+    monkeypatch.setattr(AdmissibleTuple, "__init__", counted)
+    assert len(entropy_vs_depth(12, V3)) == 12
+    assert 0 < exact_separation_probability(24, 2, V3) < 1
+    assert cli.main(["verify", "counting", "--tau", "p,q,r", "--max-n", "6",
+                     "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert built == []
+    rep = majority_report(24, 2, V3)
+    assert rep.candidate.entries == (2,) * 8
+    assert len(built) <= 2
 
 
 # -- sampling ---------------------------------------------------------------------

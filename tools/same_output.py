@@ -88,6 +88,13 @@ stderrs are compared:
   below-sqrt --a 1 --n-values 16,64,128``, and the n=512 sweep ``phase
   sweep --tau p,q --rule below-sqrt --a 2 --n-values 512`` (98,770
   orbits);
+- orbit reductions that read each orbit's size from its entries:
+  ``phase separation --tau p,q,r --n 12 --d 3 --exact --trials 100
+  --seed 5 --format json`` (the collision sum at t = 8);
+  ``phase majority --tau p,q --n 6 --d 9`` (d > n, so the all-capped
+  candidate is not admissible);
+  ``verify counting --tau p,q,r,s --max-n 5`` (t = 16, weights from 16!);
+  ``entropy-sweep --tau p --n 1`` (one depth with one orbit, of weight 2);
 - the ``dist-rows`` commands in the formats its workload does not print
   them in: ``entropy --tau p,q,r --n 12 --d 3`` in CSV and text,
   ``class-size --tau p,q --n 64 --d 16`` in JSON and text, ``entropy
@@ -284,6 +291,11 @@ ORBITS: list[Command] = [((), argv) for argv in (
      "--n-values", "16,64,128"),
     ("phase", "sweep", "--tau", "p,q", "--rule", "below-sqrt", "--a", "2",
      "--n-values", "512"),
+    ("phase", "separation", "--tau", "p,q,r", "--n", "12", "--d", "3", "--exact",
+     "--trials", "100", "--seed", "5", "--format", "json"),
+    ("phase", "majority", "--tau", "p,q", "--n", "6", "--d", "9"),
+    ("verify", "counting", "--tau", "p,q,r,s", "--max-n", "5"),
+    ("entropy-sweep", "--tau", "p", "--n", "1"),
 )]
 
 
