@@ -572,6 +572,7 @@ def _verify_monotone(args, vocab, caps) -> _Report:
 
 
 def _verify_game_theorem(args, vocab, caps) -> _Report:
+    game.check_caps(vocab, args.n, args.max_r, caps)
     pms = models.pointed_profiles(args.n, vocab)
     sides = [frozenset()]
     for k in range(1, args.max_side + 1):
@@ -758,8 +759,8 @@ def _run(argv) -> int:
         raise SystemExit(_usage_error(str(exc)))
     try:
         report = args.func(args, getattr(args, "tau", None), caps)
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     if sys.stdout is None:  # started with its descriptor closed
         print("error: cannot write the report: stdout is closed", file=sys.stderr)

@@ -19,10 +19,8 @@ class ScaleCapError(ValueError):
 
 class SearchCaps(NamedTuple):
     search_max_cells: int = 1 << 15
-    game_max_symbols: int = 1
-    game_max_n: int = 4
+    game_max_pointed: int = 8
     game_max_resource: int = 7
-    game_max_models: int = 4
     enumerate_max_entries: int = 1 << 22
 
 

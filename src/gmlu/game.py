@@ -534,18 +534,24 @@ def solve(
     """Exact winner of the game from this starting position."""
     if d < 1:
         raise ValueError("counting depth must be at least 1")
-    check_cap(caps, "game_max_symbols", len(vocab.symbols), "game |tau|")
-    check_cap(caps, "game_max_resource", pos.resource, "game resource")
-    check_cap(caps, "game_max_models", len(pos.left) + len(pos.right), "game models")
-    if pos.n is not None:
-        check_cap(caps, "game_max_n", pos.n, "game domain size")
+    check_caps(vocab, pos.n, pos.resource, caps)
     return D_WINS if _least(pos, d, vocab) is None else S_WINS
+
+
+def check_caps(vocab: Vocabulary, n: int | None, resource: int, caps: SearchCaps) -> None:
+    """Refuse a game past the cap on its budget or on the solver's width: the
+    t*C(n+t-2, t-1) pointed size-n models over t types, counted up to 2^64."""
+    t, i, width = vocab.t, 1, (vocab.t if n else 0)
+    while i < min(n or 0, t) and not width >> 64:
+        width, i = width * (n + t - 1 - i) // i, i + 1
+    check_cap(caps, "game_max_pointed", width, f"game width (pointed models of size {n})")
+    check_cap(caps, "game_max_resource", resource, "game resource")
 
 
 def _least(pos: GamePosition, d: int, vocab: Vocabulary) -> int | None:
     """The least budget at which S wins from ``pos``, or None if it is
-    above ``pos.resource``; with no cap check: a counting move's
-    successor may hold more pointed models than the position it left."""
+    above ``pos.resource``; with no cap check, since a position reached
+    from a checked one keeps its width and at most its budget."""
     if pos.n is None:
         return 1 if pos.resource >= 1 else None
     solver = _solver_for(vocab, pos.n, d)

@@ -149,8 +149,8 @@ def test_criterion_05_game_formula_equivalence_grid():
                         assert chk.agree, (n, d, r, left, right, chk)
                         instances += 1
     # |tau|=2, where the complexity bounds are loose: at most one model per
-    # side, d=1, the game's cap raised to two symbols
-    caps = SearchCaps(game_max_symbols=2)
+    # side, d=1, the game's width cap raised to n=3's 40 pointed models
+    caps = SearchCaps(game_max_pointed=40)
     winners = Counter()
     for n in (1, 2, 3):
         sides = [frozenset()] + [frozenset([pm]) for pm in pointed_profiles(n, V2)]

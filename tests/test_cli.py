@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -688,19 +689,13 @@ def test_env_cap_override(capsys, monkeypatch):
 SCALE_CAP_CASES = [
     ("GMLU_SEARCH_MAX_CELLS", None,
      ["complexity", "--tau", "p", "--n", "16", "--d", "8", "--exact"]),
-    ("GMLU_GAME_MAX_SYMBOLS", None,
+    # |tau|=2 at n=2: 16 pointed models, past the default width of 8
+    ("GMLU_GAME_MAX_POINTED", None,
      ["game", "solve", "--tau", "p,q", "--d", "1", "--r", "2",
       "--left", "2,0,0,0@0", "--right", "1,1,0,0@0"]),
-    ("GMLU_GAME_MAX_N", None,
-     ["game", "solve", "--tau", "p", "--d", "1", "--r", "2",
-      "--left", "5,0@0", "--right", "4,1@0"]),
     ("GMLU_GAME_MAX_RESOURCE", None,
      ["game", "solve", "--tau", "p", "--d", "1", "--r", "8",
       "--left", "2,0@0", "--right", "1,1@0"]),
-    ("GMLU_GAME_MAX_MODELS", None,
-     ["game", "trace", "--tau", "p", "--d", "1", "--r", "2",
-      "--left", "3,0@0", "--left", "2,1@0", "--left", "2,1@1",
-      "--right", "1,2@0", "--right", "0,3@1"]),
     ("GMLU_ENUMERATE_MAX_ENTRIES", "10",
      ["verify", "monotone", "--tau", "p", "--n", "26", "--d", "6"]),
 ]
@@ -716,6 +711,52 @@ def test_scale_cap_error_names_its_override(capsys, monkeypatch, variable, env, 
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert f"set {variable} to raise it" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    # five models at n=3, which the width of 6 admits with any model count
+    ["game", "trace", "--tau", "p", "--d", "1", "--r", "2",
+     "--left", "3,0@0", "--left", "2,1@0", "--left", "2,1@1",
+     "--right", "1,2@0", "--right", "0,3@1"],
+    # |tau|=2 at n=1: 4 pointed models
+    ["game", "solve", "--tau", "p,q", "--d", "1", "--r", "3",
+     "--left", "1,0,0,0@0", "--left", "0,1,0,0@1", "--right", "0,0,1,0@2"],
+])
+def test_game_within_the_width_cap_is_solved(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _limited_gmlu(argv) -> subprocess.CompletedProcess:
+    """``python -m gmlu argv`` with its address space limited to 1 GiB."""
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GMLU_")}
+    env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
+    return subprocess.run([sys.executable, "-m", "gmlu", *argv], env=env, timeout=60,
+                          preexec_fn=limit, capture_output=True, text=True)
+
+
+def test_game_width_is_refused_before_the_models_are_listed():
+    # 8 * C(36, 7) = 66,781,440 pointed models, which listing would not fit
+    start = time.perf_counter()
+    proc = _limited_gmlu(["verify", "game-theorem", "--tau", "p,q,r", "--n", "30"])
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: game width (pointed models of size 30) 66781440 exceeds the cap 8; "
+        "set GMLU_GAME_MAX_POINTED to raise it\n"
+    )
+
+
+def test_out_of_memory_is_one_error_line():
+    # the Stirling table of n=200,000 holds about 2.6 GB
+    proc = _limited_gmlu(["class-size", "--tau", "p", "--n", "200000", "--d", "2",
+                          "--tuple", "2,2"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
 
 _BELOW_ONE = [
@@ -775,7 +816,7 @@ def test_bad_tau_exit_code_2(capsys, argv):
 
 
 def test_bad_tau_is_reported_before_a_bad_override(capsys, monkeypatch):
-    monkeypatch.setenv("GMLU_GAME_MAX_N", "x")
+    monkeypatch.setenv("GMLU_GAME_MAX_RESOURCE", "x")
     err = _assert_usage_error(capsys, ["phase", "constants", "--tau", "p,p"])
     assert err.startswith("error: bad --tau 'p,p'")
 
@@ -798,22 +839,24 @@ def test_max_size_below_one_exit_code_2(capsys, size):
 
 
 def test_non_integer_cap_override_exit_code_2(capsys, monkeypatch):
-    monkeypatch.setenv("GMLU_GAME_MAX_N", "x")
+    monkeypatch.setenv("GMLU_GAME_MAX_RESOURCE", "x")
     err = _assert_usage_error(capsys, [
         "game", "solve", "--tau", "p", "--d", "1", "--r", "2",
         "--left", "2,0@0", "--right", "1,1@0",
     ])
-    assert "GMLU_GAME_MAX_N='x' is not an integer" in err
+    assert "GMLU_GAME_MAX_RESOURCE='x' is not an integer" in err
 
 
 def test_negative_cap_override_exit_code_2(capsys, monkeypatch):
     # a negative cap would refuse every search, each as a computation error
-    monkeypatch.setenv("GMLU_GAME_MAX_N", "-1")
+    monkeypatch.setenv("GMLU_GAME_MAX_RESOURCE", "-1")
     err = _assert_usage_error(capsys, [
         "game", "solve", "--tau", "p", "--d", "1", "--r", "2",
         "--left", "2,0@0", "--right", "1,1@0",
     ])
-    assert err == "error: environment override GMLU_GAME_MAX_N='-1' is not an integer >= 0\n"
+    assert err == (
+        "error: environment override GMLU_GAME_MAX_RESOURCE='-1' is not an integer >= 0\n"
+    )
 
 
 _BELOW_BOUND = [

@@ -5,7 +5,7 @@ import pytest
 
 from gmlu import complexity, game
 from gmlu.complexity import minimal_separating_size
-from gmlu.config import ScaleCapError
+from gmlu.config import ScaleCapError, SearchCaps
 from gmlu.game import (
     CountMove,
     D_WINS,
@@ -15,6 +15,7 @@ from gmlu.game import (
     SplitMove,
     _Solver,
     apply_move,
+    check_caps,
     check_game_formula_equivalence,
     legal_moves,
     solve,
@@ -293,6 +294,30 @@ def test_caps():
         solve(GamePosition(2, big, frozenset()), 1, V1)
     with pytest.raises(ScaleCapError):
         solve(GamePosition(9, frozenset({ALL_P}), frozenset()), 1, V1)
+
+
+@pytest.mark.parametrize("symbols", ["p", "pq", "pqr"])
+def test_width_cap_counts_the_pointed_models(symbols):
+    vocab = Vocabulary(tuple(symbols))
+    for n in range(1, 7):
+        width = len(pointed_profiles(n, vocab))
+        if width <= 64:  # a solver's flip tables grow with t * width
+            assert width == _Solver(vocab, n, 1)._width
+        check_caps(vocab, n, 1, SearchCaps(game_max_pointed=width))
+        with pytest.raises(ScaleCapError, match=(
+                rf"^game width \(pointed models of size {n}\) {width} exceeds the cap "
+                rf"{width - 1}; set GMLU_GAME_MAX_POINTED to raise it$")):
+            check_caps(vocab, n, 1, SearchCaps(game_max_pointed=width - 1))
+    # a position with no model has none to index
+    check_caps(vocab, None, 1, SearchCaps(game_max_pointed=0))
+
+
+def test_width_past_2_to_the_64_is_named_by_a_bound():
+    # t = 2^20 types at n = 10^6: the exact count would be a 2M-bit integer
+    vocab = Vocabulary(tuple(f"s{i}" for i in range(20)))
+    with pytest.raises(ScaleCapError, match=r"\) above 2\^\d+ exceeds the cap 8; "
+                       "set GMLU_GAME_MAX_POINTED"):
+        check_caps(vocab, 10**6, 1, SearchCaps())
 
 
 def test_equivalence_check_spec_example():

@@ -21,15 +21,25 @@ stderrs are compared:
   game position under its four symmetries (swap the sides, swap p with
   !p, both, neither);
 - the n=5 and n=6 game grids, ``verify game-theorem --tau p --n 5 --d 2
-  --max-r 5 --max-side 2`` under ``GMLU_GAME_MAX_N=5`` and the same at
-  ``--n 6`` under ``GMLU_GAME_MAX_N=6``, and the |tau|=2 grids, whose
-  memo keys take the least of three literal-flip images, ``verify
-  game-theorem --tau p,q --n 2 --d 1 --max-r 5 --max-side 2`` and the
-  same at ``--max-r 7``, under ``GMLU_GAME_MAX_SYMBOLS=2``;
+  --max-r 5 --max-side 2`` under ``GMLU_GAME_MAX_N=5`` and
+  ``GMLU_GAME_MAX_POINTED=10`` and the same at ``--n 6`` under
+  ``GMLU_GAME_MAX_N=6`` and ``GMLU_GAME_MAX_POINTED=12``, and the |tau|=2
+  grids, whose memo keys take the least of three literal-flip images,
+  ``verify game-theorem --tau p,q --n 2 --d 1 --max-r 5 --max-side 2``
+  and the same at ``--max-r 7``, under ``GMLU_GAME_MAX_SYMBOLS=2`` and
+  ``GMLU_GAME_MAX_POINTED=16``;
 - a |tau|=2 strategy trace whose "<>==" move labels three selections
   with their "P" or "N" set over four point types, ``game trace --tau
   p,q --d 2 --r 4 --left 0,0,1,1@2 --right 0,0,0,2@3 --right 1,0,1,0@0
-  --format json`` under ``GMLU_GAME_MAX_SYMBOLS=2``;
+  --format json`` under ``GMLU_GAME_MAX_SYMBOLS=2`` and
+  ``GMLU_GAME_MAX_POINTED=16``;
+- games that the default width cap of 8 pointed models admits and the
+  older |tau| and model-count caps refused, each run under the older
+  cap raised: ``verify game-theorem --tau p,q --n 1 --d 1 --max-r 5
+  --max-side 2`` (``GMLU_GAME_MAX_SYMBOLS=2``), the same at ``--tau
+  p,q,r`` (``GMLU_GAME_MAX_SYMBOLS=3``), and a five-model ``game trace
+  --tau p --d 1 --r 5 --left 3,0@0 --left 2,1@0 --left 2,1@1 --right
+  1,2@0 --right 0,3@1 --format json`` (``GMLU_GAME_MAX_MODELS=5``);
 - exact search beyond the benchmark's n=12: ``complexity --tau p --n 14
   --d 7 --exact`` and ``verify monotone --tau p --n 14 --d 7 --mode
   exact``, the same two at n=16, d=8 (where the canonical level, which
@@ -182,20 +192,32 @@ def game_commands() -> list[Command]:
     return out
 
 
+# Each game grid sets the caps of a base revision from before the width cap
+# (|tau|, domain size, model count) and the width cap; each side reads its own.
 GRIDS: list[Command] = [
-    ((("GMLU_GAME_MAX_N", n),),
+    ((("GMLU_GAME_MAX_N", n), ("GMLU_GAME_MAX_POINTED", str(2 * int(n)))),
      ("verify", "game-theorem", "--tau", "p", "--n", n, "--d", "2",
       "--max-r", "5", "--max-side", "2"))
     for n in ("5", "6")
 ] + [
-    ((("GMLU_GAME_MAX_SYMBOLS", "2"),),
+    ((("GMLU_GAME_MAX_SYMBOLS", "2"), ("GMLU_GAME_MAX_POINTED", "16")),
      ("verify", "game-theorem", "--tau", "p,q", "--n", "2", "--d", "1",
       "--max-r", r, "--max-side", "2"))
     for r in ("5", "7")
 ] + [
-    ((("GMLU_GAME_MAX_SYMBOLS", "2"),),
+    ((("GMLU_GAME_MAX_SYMBOLS", "2"), ("GMLU_GAME_MAX_POINTED", "16")),
      ("game", "trace", "--tau", "p,q", "--d", "2", "--r", "4", "--left", "0,0,1,1@2",
       "--right", "0,0,0,2@3", "--right", "1,0,1,0@0", "--format", "json")),
+] + [
+    ((("GMLU_GAME_MAX_SYMBOLS", symbols),),
+     ("verify", "game-theorem", "--tau", tau, "--n", "1", "--d", "1",
+      "--max-r", "5", "--max-side", "2"))
+    for tau, symbols in (("p,q", "2"), ("p,q,r", "3"))
+] + [
+    ((("GMLU_GAME_MAX_MODELS", "5"),),
+     ("game", "trace", "--tau", "p", "--d", "1", "--r", "5",
+      "--left", "3,0@0", "--left", "2,1@0", "--left", "2,1@1",
+      "--right", "1,2@0", "--right", "0,3@1", "--format", "json")),
 ]
 
 def _exact_env(n: int, d: int) -> tuple[tuple[str, str], ...]:
